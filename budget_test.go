@@ -3,6 +3,7 @@ package fluxquery
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -84,6 +85,39 @@ func TestBudgetDifferentialPolicies(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBudgetSpillDeterministic: identical spilling passes evict the same
+// victims, so their spill and rehydrate traffic repeats to the byte.
+// Victims of equal payload are ordered by age, not by map iteration.
+func TestBudgetSpillDeterministic(t *testing.T) {
+	c := workload.ByName("xmark-q8-join")
+	doc := genCorpusDoc(t, c, 100_000)
+	_, refSt := budgetRef(t, c, doc)
+	var first Stats
+	for i := 0; i < 6; i++ {
+		p := MustCompile(c.Query, c.DTD, Options{
+			BufferBudget:   refSt.PeakBufferBytes / 2,
+			BufferPolicy:   BufferSpill,
+			BufferSpillDir: t.TempDir(),
+		})
+		_, st, err := p.ExecuteString(string(doc))
+		p.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.SpilledBytes == 0 {
+			t.Fatal("pass spilled nothing")
+		}
+		if i == 0 {
+			first = st
+			continue
+		}
+		if st.SpilledBytes != first.SpilledBytes || st.RehydratedBytes != first.RehydratedBytes {
+			t.Fatalf("pass %d: spilled %d rehydrated %d, pass 0: spilled %d rehydrated %d",
+				i, st.SpilledBytes, st.RehydratedBytes, first.SpilledBytes, first.RehydratedBytes)
+		}
 	}
 }
 
@@ -325,42 +359,54 @@ func TestBudgetChurnSpillingSharedPass(t *testing.T) {
 
 // TestBudgetBackpressureConcurrentPasses: two over-budget passes sharing
 // one BufferBackpressure manager throttle each other but both complete
-// correctly (the gate rule guarantees progress).
+// correctly (the gate rule guarantees progress). Sequential and pipelined
+// passes alike report the time they stalled.
 func TestBudgetBackpressureConcurrentPasses(t *testing.T) {
 	c := workload.ByName("xmark-q8-join")
 	doc := genCorpusDoc(t, c, 30_000)
 	ref, refSt := budgetRef(t, c, doc)
-	mgr := NewBufferManager(refSt.PeakBufferBytes/2, BufferBackpressure, "")
-	defer mgr.Close()
-	p := MustCompile(c.Query, c.DTD, Options{Buffers: mgr})
+	for _, parallel := range []int{0, 2} {
+		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) {
+			mgr := NewBufferManager(refSt.PeakBufferBytes/2, BufferBackpressure, "")
+			defer mgr.Close()
+			p := MustCompile(c.Query, c.DTD, Options{Buffers: mgr, Parallel: parallel})
 
-	var wg sync.WaitGroup
-	outs := make([]string, 4)
-	errs := make([]error, 4)
-	for i := range outs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outs[i], _, errs[i] = p.ExecuteString(string(doc))
-		}(i)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("backpressured passes deadlocked")
-	}
-	for i := range outs {
-		if errs[i] != nil {
-			t.Fatalf("pass %d: %v", i, errs[i])
-		}
-		if outs[i] != ref {
-			t.Fatalf("pass %d output differs under backpressure", i)
-		}
-	}
-	if mgr.Metrics().ReservedBytes != 0 {
-		t.Error("reservations leak after concurrent passes")
+			var wg sync.WaitGroup
+			outs := make([]string, 4)
+			sts := make([]Stats, 4)
+			errs := make([]error, 4)
+			for i := range outs {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					outs[i], sts[i], errs[i] = p.ExecuteString(string(doc))
+				}(i)
+			}
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(60 * time.Second):
+				t.Fatal("backpressured passes deadlocked")
+			}
+			var stall time.Duration
+			for i := range outs {
+				if errs[i] != nil {
+					t.Fatalf("pass %d: %v", i, errs[i])
+				}
+				if outs[i] != ref {
+					t.Fatalf("pass %d output differs under backpressure", i)
+				}
+				stall += sts[i].BudgetStall
+			}
+			mt := mgr.Metrics()
+			if mt.ReservedBytes != 0 {
+				t.Error("reservations leak after concurrent passes")
+			}
+			if mt.Stalls > 0 && stall <= 0 {
+				t.Errorf("manager counted %d stalls but the passes report no BudgetStall", mt.Stalls)
+			}
+		})
 	}
 }
 

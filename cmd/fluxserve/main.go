@@ -54,7 +54,8 @@
 // The companion command fluxtop renders these endpoints as a live
 // terminal dashboard (fluxtop -addr http://host:8080).
 //
-// /eval responds with JSON:
+// Every endpoint responds with compact JSON: one line, with '<', '>' and
+// '&' left literal. The /eval response carries:
 //
 //   - "scan": the shared pass itself — "passes" (always 1: one
 //     tokenize+validate pass no matter how many queries ride it), the

@@ -417,11 +417,16 @@ func (s *server) withObservability(h http.Handler) http.Handler {
 	})
 }
 
+// writeJSON is the one JSON writer of every endpoint. It encodes compact
+// and leaves '<', '>' and '&' literal: /eval bodies are mostly XML result
+// text, which HTML escaping would inflate to \u003c/\u003e, and
+// indentation makes encoding/json marshal the value and then re-walk the
+// whole body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
+	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
 }
 
@@ -822,8 +827,14 @@ func (s *server) handleEval(w http.ResponseWriter, r *http.Request) {
 		InputBytes:      sc.InputBytes,
 		StallMicros:     sc.Stall.Microseconds(),
 	}
+	type outcome struct {
+		st  fluxquery.Stats
+		err error
+	}
+	outcomes := make([]outcome, len(selected))
 	for i, e := range selected {
 		st, err := regs[i].Stats()
+		outcomes[i] = outcome{st, err}
 		res := evalResult{
 			Query:  e.name,
 			Output: outs[i].String(),
@@ -848,11 +859,14 @@ func (s *server) handleEval(w http.ResponseWriter, r *http.Request) {
 				res.Code = http.StatusRequestEntityTooLarge
 			}
 		}
-		s.record(e.name, st, err)
 		resp.Results = append(resp.Results, res)
 	}
+	// One hold of s.mu folds the whole pass into the /stats aggregates.
 	s.mu.Lock()
 	s.evals++
+	for i, e := range selected {
+		s.recordLocked(e.name, outcomes[i].st, outcomes[i].err)
+	}
 	if ps := set.LastPass(); ps.Parallel >= 2 {
 		s.pipeline.Passes++
 		s.pipeline.Batches += ps.Batches
@@ -879,10 +893,9 @@ func (s *server) handleEval(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// record folds one query's pass outcome into the /stats aggregates.
-func (s *server) record(name string, st fluxquery.Stats, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// recordLocked folds one query's pass outcome into the /stats
+// aggregates. The caller holds s.mu.
+func (s *server) recordLocked(name string, st fluxquery.Stats, err error) {
 	a := s.agg[name]
 	if a == nil {
 		a = &queryAgg{}

@@ -913,7 +913,8 @@ func (a *Account) makeRoom(need int64) error {
 	// minimum by budget/8 of headroom — a steady stream of small fills
 	// then pays for one scan per chunk of traffic, not per fill. Order:
 	// largest cold buffer first, so each segment write retires the most
-	// memory.
+	// memory; equal payloads go oldest first (by seq), so the victims do
+	// not depend on map iteration order.
 	over += m.cfg.Budget / 8
 	type cand struct {
 		n   *dom.Node
@@ -925,7 +926,13 @@ func (a *Account) makeRoom(need int64) error {
 			cands = append(cands, cand{n, rec})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].rec.payload > cands[j].rec.payload })
+	sort.Slice(cands, func(i, j int) bool {
+		a, b := cands[i].rec, cands[j].rec
+		if a.payload != b.payload {
+			return a.payload > b.payload
+		}
+		return a.seq < b.seq
+	})
 	for _, c := range cands {
 		if over <= 0 {
 			break

@@ -130,6 +130,37 @@ func TestSpillLargestColdFirst(t *testing.T) {
 	}
 }
 
+// TestSpillEqualPayloadsOldestFirst: among cold units of equal payload
+// the oldest fill spills first, whatever the map iteration order.
+func TestSpillEqualPayloadsOldestFirst(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		m := New(Config{Budget: 2000, Policy: PolicySpill, SpillDir: t.TempDir(), SpillUnit: 1 << 20})
+		g := m.NewGate()
+		a := g.NewAccount()
+		var trees []*dom.Node
+		for i := 0; i < 3; i++ {
+			n := mustTree(t, `<b><x>`+strings.Repeat("y", 200)+`</x></b>`)
+			if err := a.Filled(n, n.Size(), true); err != nil {
+				t.Fatal(err)
+			}
+			trees = append(trees, n)
+		}
+		// Just over budget: one victim (plus the budget/8 headroom) is
+		// enough, and it must be the first fill.
+		if err := a.Filled(nil, 2000-m.Metrics().ReservedBytes+10, false); err != nil {
+			t.Fatal(err)
+		}
+		for i, n := range trees {
+			if spilled := len(n.Children) == 0; spilled != (i == 0) {
+				t.Fatalf("round %d: tree %d spilled=%v, want only tree 0", round, i, spilled)
+			}
+		}
+		a.Close()
+		g.Close()
+		m.Close()
+	}
+}
+
 func TestSpillSkipsPinned(t *testing.T) {
 	m := New(Config{Budget: 500, Policy: PolicySpill, SpillDir: t.TempDir(), SpillUnit: 1 << 20})
 	defer m.Close()

@@ -317,6 +317,9 @@ func (p *Plan) runManagedParallel(ctx context.Context, in io.Reader, out io.Writ
 	// can only drain once this pass's reservations release.
 	sc, pps, _ := pl.Close()
 	if st != nil {
+		// The gate parks the tokenizer stage, so its stall is final only
+		// once Close has joined the stages.
+		st.BudgetStall = gate.Stall()
 		st.ScanEventsDelivered = sc.EventsDelivered
 		st.ScanEventsSkipped = sc.EventsSkipped
 		st.ScanSubtreesSkipped = sc.SubtreesSkipped

@@ -24,6 +24,19 @@ import (
 // Batching amortizes the two channel operations per rendezvous over a few
 // hundred events, so the single-query path (Plan.Run, which is now a thin
 // pull-driver over a StepExec) keeps its throughput.
+//
+// The evaluator goroutine grows its stack on entry (growStack). A new
+// goroutine starts with a small stack, and the recursive evaluator
+// (eval → runPS → dispatchChild) would otherwise outgrow it two or three
+// times mid-pass, each growth copying and re-walking every live frame.
+// With one goroutine per plan per pass, that growth was 16 % of a
+// fluxserve child's CPU serving 100 registered queries over 7 KB
+// documents on 2 vCPUs. An 8 KB pad claimed while the goroutine is one
+// frame deep costs a single near-empty copy and removed every later
+// growth for those 100 plans (stack growth fell to 3 % of CPU, all of it
+// the pad's own).
+// The pad goes away with the per-plan goroutine itself once the
+// evaluator runs in push mode (ROADMAP 4b).
 
 // eventSource is the evaluator's view of its input: the validating pull
 // reader in single-pass terms, or a pushSource fed by a driver.
@@ -139,10 +152,31 @@ func (p *Plan) NewStepExecBudgeted(out io.Writer, acct *bufmgr.Account) *StepExe
 	ex.acct = acct
 	e := &StepExec{src: src, ex: ex, managed: acct != nil}
 	go func() {
+		growStack()
 		st, err := runProtected(ex, p)
 		src.acks <- ackMsg{done: true, st: st, err: err}
 	}()
 	return e
+}
+
+// evalStackPad is the stack frame growStack claims; see the file comment.
+const evalStackPad = 8 << 10
+
+// growStackSink is always zero and never written; reading the pad
+// through it keeps the pad in growStack's frame.
+var growStackSink byte
+
+// growStack grows the calling goroutine's stack to hold evalStackPad
+// bytes while the goroutine is one frame deep, so the one stack copy
+// moves almost nothing. It must not be inlined: the pad has to be a
+// frame of its own.
+//
+//go:noinline
+func growStack() {
+	var pad [evalStackPad]byte
+	if v := pad[growStackSink]; v != 0 {
+		growStackSink = v
+	}
 }
 
 // runProtected converts an evaluator panic into an error so a wedged plan
