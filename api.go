@@ -345,12 +345,14 @@ type Options struct {
 	// shared, process-wide BufferManager instead (the budget then spans
 	// every plan and StreamSet wired to it).
 	Buffers *BufferManager
-	// Parallel selects pipelined execution for EngineFlux: with a value
-	// >= 2, Execute runs tokenization, DTD validation and evaluation as
-	// pipeline stages on separate goroutines connected by bounded batch
-	// rings, so the scan overlaps the evaluator. 0 or 1 is the
-	// sequential pass. Output is byte-identical either way. StreamSet
-	// passes have their own switch, StreamSet.SetParallel.
+	// Parallel overrides how EngineFlux executes. The pipelined pass
+	// runs tokenization, DTD validation and evaluation as stages on
+	// separate goroutines connected by bounded batch rings, so the scan
+	// overlaps the evaluator; the sequential pass runs them on one
+	// goroutine. 0, the default, pipelines when GOMAXPROCS >= 2 and runs
+	// sequentially on one P; 1 pins the sequential pass and n >= 2 the
+	// pipeline. Output is byte-identical either way. StreamSet passes
+	// have their own override, StreamSet.SetParallel.
 	Parallel int
 	// Telemetry, when non-nil, publishes the plan's execution metrics
 	// (pass counts, latency, input bytes and events) on the registry.
@@ -659,7 +661,7 @@ func (p *Plan) execute(ctx context.Context, r io.Reader, w io.Writer, tr *teleme
 	var err error
 	switch p.opts.Engine {
 	case EngineFlux:
-		if p.opts.Parallel >= 2 {
+		if mqe.ResolveParallel(p.opts.Parallel) >= 2 {
 			rst, err = p.phys.RunManagedParallelTraceContext(ctx, r, w, p.bufs, tr)
 		} else {
 			rst, err = p.phys.RunManagedTraceContext(ctx, r, w, p.bufs, tr)
@@ -796,13 +798,14 @@ func (s *StreamSet) SetBuffers(b *BufferManager) {
 	s.set.SetBuffers(b.m)
 }
 
-// SetParallel selects how the set's shared passes execute: n >= 2 runs
+// SetParallel overrides how the set's shared passes execute. n >= 2 runs
 // the staged pipeline — tokenize, validate and dispatch on separate
 // goroutines connected by bounded batch rings, with up to n feed
 // workers sharding the plan set by cost estimate (idle workers steal
-// plans from loaded ones) — while 0 or 1 keeps the sequential
-// single-goroutine pass. Per-plan outputs are byte-identical either
-// way. Takes effect at the next Run.
+// plans from loaded ones). 1 pins the sequential single-goroutine pass.
+// 0, the default, runs the pipeline with GOMAXPROCS workers when
+// GOMAXPROCS >= 2 and the sequential pass on one P. Per-plan outputs
+// are byte-identical either way. Takes effect at the next Run.
 func (s *StreamSet) SetParallel(n int) { s.set.SetParallel(n) }
 
 // Dispatch selects how a StreamSet's shared passes fan the validated

@@ -281,8 +281,14 @@ func TestBudgetSpillSharedPass(t *testing.T) {
 	if mt.SpilledBytes == 0 {
 		t.Error("budgeted shared pass spilled nothing")
 	}
-	if mt.PeakReservedBytes > budget {
-		t.Errorf("global reservation peak %d exceeds budget %d", mt.PeakReservedBytes, budget)
+	// Admission claims room under the manager lock, so the one way past
+	// the budget is the documented overshoot of an account with nothing
+	// resident to evict, and only that commit counts in
+	// OvershootPeakBytes: concurrent evaluators may reach it, a second
+	// account taking the same room may not.
+	if mt.PeakReservedBytes > budget+mt.OvershootPeakBytes {
+		t.Errorf("global reservation peak %d exceeds budget %d + no-victim overshoot %d",
+			mt.PeakReservedBytes, budget, mt.OvershootPeakBytes)
 	}
 	if mt.ReservedBytes != 0 {
 		t.Errorf("reservations leak: %d bytes still held", mt.ReservedBytes)
@@ -359,13 +365,14 @@ func TestBudgetChurnSpillingSharedPass(t *testing.T) {
 
 // TestBudgetBackpressureConcurrentPasses: two over-budget passes sharing
 // one BufferBackpressure manager throttle each other but both complete
-// correctly (the gate rule guarantees progress). Sequential and pipelined
-// passes alike report the time they stalled.
+// correctly (the gate rule guarantees progress). Sequential (1),
+// pipelined (2) and default (0) passes alike report the time they
+// stalled.
 func TestBudgetBackpressureConcurrentPasses(t *testing.T) {
 	c := workload.ByName("xmark-q8-join")
 	doc := genCorpusDoc(t, c, 30_000)
 	ref, refSt := budgetRef(t, c, doc)
-	for _, parallel := range []int{0, 2} {
+	for _, parallel := range []int{0, 1, 2} {
 		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) {
 			mgr := NewBufferManager(refSt.PeakBufferBytes/2, BufferBackpressure, "")
 			defer mgr.Close()

@@ -321,7 +321,8 @@ func parallelRecords(r *runner) ([]record, error) {
 	}
 
 	var records []record
-	for _, par := range []int{0, workers} {
+	// 1 pins the sequential leg: the default would pipeline it too.
+	for _, par := range []int{1, workers} {
 		set := fluxquery.NewStreamSet(d)
 		set.SetParallel(par)
 		frec := benchRecorder(r.reps)

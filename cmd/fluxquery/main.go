@@ -4,6 +4,11 @@
 // flags; they are then evaluated over the input in a single shared
 // tokenize+validate pass (the multi-query engine).
 //
+// With GOMAXPROCS >= 2 the flux engine runs its pass pipelined:
+// tokenizer, validator and evaluators on separate goroutines connected
+// by bounded batch rings, with output byte-identical to the sequential
+// pass. GOMAXPROCS=1 selects the sequential single-goroutine pass.
+//
 // Usage:
 //
 //	fluxquery -dtd bib.dtd -query 'query text' [-in doc.xml] [-out result.xml]
@@ -38,7 +43,6 @@ func main() {
 		validate   = flag.Bool("validate", false, "only validate the input against the DTD")
 		noOpt      = flag.Bool("no-optimizer", false, "disable the algebraic optimizer")
 		projMode   = flag.String("proj", "fast", "stream projection: fast (bulk-skip irrelevant subtrees), validate (skip delivery, full validation) or off")
-		parallel   = flag.Int("parallel", 1, "pipelined execution: >= 2 runs tokenize/validate/dispatch on separate goroutines with that many feed workers (flux engine only); 0 or 1 is sequential")
 		trace      = flag.Bool("trace", false, "print the execution's span timeline (scan/eval phases, stalls, ring peaks) to stderr")
 	)
 	var queryFiles multiFlag
@@ -57,7 +61,6 @@ func main() {
 		validate:   *validate,
 		noOpt:      *noOpt,
 		projMode:   *projMode,
-		parallel:   *parallel,
 		trace:      *trace,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "fluxquery:", err)
@@ -84,7 +87,6 @@ type options struct {
 	validate   bool
 	noOpt      bool
 	projMode   string
-	parallel   int
 	trace      bool
 }
 
@@ -177,9 +179,6 @@ func run(o options) error {
 	if len(queries) > 1 && engine != fluxquery.EngineFlux {
 		return fmt.Errorf("multiple queries require -engine flux (shared event streams)")
 	}
-	if o.parallel >= 2 && engine != fluxquery.EngineFlux {
-		return fmt.Errorf("-parallel requires -engine flux (pipelined shared passes)")
-	}
 	plans := make([]*fluxquery.Plan, len(queries))
 	for i, nq := range queries {
 		q, err := fluxquery.ParseQuery(nq.text)
@@ -190,7 +189,6 @@ func run(o options) error {
 			Engine:           engine,
 			DisableOptimizer: o.noOpt,
 			Projection:       projection,
-			Parallel:         o.parallel,
 		})
 		if err != nil {
 			return fmt.Errorf("%s: %w", nq.name, err)
@@ -257,7 +255,6 @@ func run(o options) error {
 	// separated by a comment naming the query.
 	set := fluxquery.NewStreamSet(d)
 	set.SetProjection(projection)
-	set.SetParallel(o.parallel)
 	set.SetTracing(o.trace, "cli")
 	outs := make([]*bytes.Buffer, len(plans))
 	regs := make([]*fluxquery.StreamQuery, len(plans))

@@ -7,7 +7,7 @@
 //
 //	fluxserve -dtd bib.dtd [-addr :8080] [-proj fast|validate|off]
 //	          [-budget 64M -budget-policy fail|spill|backpressure [-spill-dir DIR]]
-//	          [-parallel N] [-dispatch fanout|trie] [-pool N]
+//	          [-dispatch fanout|trie] [-pool N]
 //	          [-debug-addr :6060] [-q name=query.xq ...]
 //
 // Endpoints:
@@ -31,7 +31,7 @@
 // X-Request-Id and written to the structured stderr access log); with
 // ?trace=1 an /eval response additionally carries the shared pass's
 // span tree — scan and dispatch phases, one eval span per query, and
-// under -parallel the tokenize/validate stage spans with stall
+// for a pipelined pass the tokenize/validate stage spans with stall
 // attribution and ring high-water marks — tagged with that request id.
 // GET /metrics exposes scan, pipeline, buffer-manager, ingest-pool and
 // HTTP series for scraping (plus flux_build_info and
@@ -92,9 +92,12 @@
 // and GET /stats gain a "dispatch" object with the trie size and
 // routing totals.
 //
-// With -parallel N (N >= 2), each /eval's shared pass runs pipelined:
+// When GOMAXPROCS >= 2, each /eval's shared pass runs pipelined:
 // tokenizer, validator and dispatcher on separate goroutines connected
-// by bounded batch rings, the plan set sharded across N feed workers.
+// by bounded batch rings, the plan set sharded across GOMAXPROCS feed
+// workers. GOMAXPROCS=1 selects the sequential single-goroutine pass;
+// there is no flag, GOMAXPROCS is the one control.
+//
 // -pool bounds the number of concurrently streaming /eval passes
 // (default 2×GOMAXPROCS); a request arriving with every slot busy is
 // shed with a structured 503 ({"error": ..., "code":
@@ -103,7 +106,7 @@
 // carries such a "code" (BODY_TOO_LARGE, POOL_SATURATED,
 // QUERY_NOT_FOUND, INVALID_QUERY, INVALID_DOCUMENT, BAD_REQUEST,
 // INTERNAL, TIMEOUT, CLIENT_GONE, DRAINING); GET /stats reports pool
-// occupancy/rejections and, under -parallel, cumulative per-stage
+// occupancy/rejections and, for pipelined passes, cumulative per-stage
 // stall and work-steal metrics.
 //
 // Timeouts and cancellation: -eval-timeout bounds each /eval pass's
@@ -152,7 +155,6 @@ func main() {
 		budget    = flag.String("budget", "", "buffer byte budget for all passes, e.g. 64M (empty = unlimited)")
 		budPolicy = flag.String("budget-policy", "spill", "buffer overflow policy: fail, spill or backpressure")
 		spillDir  = flag.String("spill-dir", "", "directory for the spill segment file (default: system temp)")
-		parallel  = flag.Int("parallel", 1, "pipelined shared passes: >= 2 runs tokenize/validate/dispatch on separate goroutines with that many feed workers; 0 or 1 is sequential")
 		dispMode  = flag.String("dispatch", "fanout", "shared-pass fan-out strategy: fanout (every batch to every query) or trie (trie-routed per-query delivery)")
 		pool      = flag.Int("pool", 2*runtime.GOMAXPROCS(0), "maximum concurrently streaming /eval passes; excess requests get a structured 503 (0 = unbounded)")
 		debugAddr = flag.String("debug-addr", "", "separate listen address for pprof profiling endpoints (empty = disabled)")
@@ -205,7 +207,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fluxserve:", err)
 		os.Exit(2)
 	}
-	srv.setParallel(*parallel)
 	srv.setDispatch(dispatch)
 	srv.setPool(*pool)
 	srv.setEvalTimeout(*evalTO)

@@ -368,6 +368,7 @@ func TestParallelEval(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref, rts := newTestServer(t)
+	ref.setParallel(1)
 	if err := ref.register("q3", testQ3); err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,9 @@ type server struct {
 	bufs    *fluxquery.BufferManager
 	policy  fluxquery.BufferPolicy
 	budget  int64
-	// parallel, when >= 2, runs each /eval's shared pass pipelined with
-	// that many feed workers (StreamSet.SetParallel).
+	// parallel is a test-only override of how /eval's shared passes run
+	// (StreamSet.SetParallel); 0, what the server always runs with,
+	// pipelines when GOMAXPROCS >= 2.
 	parallel int
 	// dispatch selects each pass's fan-out strategy: fanout (every batch
 	// to every query) or trie (events routed through the shared dispatch
@@ -301,8 +302,8 @@ func (s *server) drain(timeout time.Duration) bool {
 	return clean
 }
 
-// setParallel selects pipelined shared passes for /eval (>= 2; 0/1 is
-// sequential).
+// setParallel pins how /eval's shared passes run, for tests: 1 is the
+// sequential pass, n >= 2 the pipeline with n feed workers.
 func (s *server) setParallel(n int) { s.parallel = n }
 
 // setDispatch selects the fan-out strategy of /eval's shared passes.
@@ -606,8 +607,8 @@ type scanStats struct {
 type evalResponse struct {
 	DurationMicros int64     `json:"duration_us"`
 	Scan           scanStats `json:"scan"`
-	// Pipeline reports the pass's pipeline metrics when the server runs
-	// with -parallel >= 2 (absent for sequential passes).
+	// Pipeline reports the pass's pipeline metrics when it ran pipelined
+	// with two or more feed workers (absent for sequential passes).
 	Pipeline *passInfo `json:"pipeline,omitempty"`
 	// Dispatch reports the pass's trie-routing metrics when the server
 	// runs with -dispatch trie (absent under plain fanout).
@@ -616,7 +617,7 @@ type evalResponse struct {
 	// Trace is the pass's span tree, present only with ?trace=1: the
 	// shared pass broken into scan and dispatch phases with one eval
 	// span per query, plus tokenize/validate stage spans (with stall
-	// attribution and ring high-water marks) under -parallel. The
+	// attribution and ring high-water marks) for pipelined passes. The
 	// trace's id is the request's X-Request-Id.
 	Trace *fluxquery.Trace `json:"trace,omitempty"`
 }

@@ -65,7 +65,7 @@ func TestFlightRecorderDifferential(t *testing.T) {
 	for _, cfg := range []struct {
 		parallel int
 		disp     Dispatch
-	}{{0, DispatchFanout}, {0, DispatchTrie}, {4, DispatchFanout}, {4, DispatchTrie}} {
+	}{{1, DispatchFanout}, {1, DispatchTrie}, {4, DispatchFanout}, {4, DispatchTrie}} {
 		off := run(false, cfg.parallel, cfg.disp)
 		on := run(true, cfg.parallel, cfg.disp)
 		for i := range off {

@@ -208,6 +208,9 @@ type Metrics struct {
 	PeakReservedBytes int64 `json:"peak_reserved_bytes"`
 	// OvershootPeakBytes is the high-water of reservations past the
 	// budget (spill had no victims left, or backpressure force-granted).
+	// Under PolicySpill it counts only the no-victim commits, the one
+	// way past the budget, so PeakReservedBytes never exceeds
+	// Budget + OvershootPeakBytes.
 	OvershootPeakBytes int64 `json:"overshoot_peak_bytes"`
 	// SpilledBytes/SpillOps and RehydratedBytes/RehydrateOps count
 	// spill-store traffic (cumulative).
@@ -262,8 +265,8 @@ func (m *Manager) commitLocked(g *Gate, n int64) {
 	if m.total > m.peak {
 		m.peak = m.total
 	}
-	if over := m.total - m.cfg.Budget; m.cfg.Budget > 0 && over > m.overshootPeak {
-		m.overshootPeak = over
+	if m.cfg.Policy != PolicySpill {
+		m.noteOvershootLocked()
 	}
 	if g != nil {
 		g.held += n
@@ -271,6 +274,16 @@ func (m *Manager) commitLocked(g *Gate, n int64) {
 	if n < 0 {
 		// Drained reservations may unblock backpressure waiters.
 		m.cond.Broadcast()
+	}
+}
+
+// noteOvershootLocked records the ledger's distance past the budget.
+// Under PolicySpill only admit's nothing-to-evict commit calls it: no
+// other commit can pass the budget there, so PeakReservedBytes <=
+// Budget + OvershootPeakBytes is the spill policy's contract.
+func (m *Manager) noteOvershootLocked() {
+	if over := m.total - m.cfg.Budget; m.cfg.Budget > 0 && over > m.overshootPeak {
+		m.overshootPeak = over
 	}
 }
 
@@ -714,13 +727,43 @@ func (a *Account) reserve(n int64) error {
 				return &BudgetError{Budget: m.cfg.Budget, Held: a.held, Need: n}
 			}
 		case PolicySpill:
-			if err := a.makeRoom(n); err != nil {
-				return err
-			}
+			return a.admit(n)
 		}
 	}
 	a.commit(n)
 	return nil
+}
+
+// admit commits n fresh bytes under PolicySpill. The headroom check and
+// the commit are one critical section of the manager mutex, so two
+// accounts can never both claim the same room. When there is none, the
+// account evicts its own victims outside the lock (spill I/O never runs
+// under the global mutex) and tries again: a sibling may have taken the
+// freed bytes in between. An account left with nothing to evict commits
+// anyway — the documented overshoot, recorded in OvershootPeakBytes.
+func (a *Account) admit(n int64) error {
+	m := a.m
+	for {
+		m.mu.Lock()
+		over := m.total + n - m.cfg.Budget
+		if over <= 0 {
+			a.commitLocked(n)
+			m.mu.Unlock()
+			return nil
+		}
+		m.mu.Unlock()
+		freed, err := a.makeRoom(over)
+		if err != nil {
+			return err
+		}
+		if freed == 0 {
+			m.mu.Lock()
+			a.commitLocked(n)
+			m.noteOvershootLocked()
+			m.mu.Unlock()
+			return nil
+		}
+	}
 }
 
 // track registers one eviction unit of the given fill-time size.
@@ -789,14 +832,19 @@ func hasElementChild(n *dom.Node) bool {
 
 // commit moves n bytes (possibly negative) through the ledgers.
 func (a *Account) commit(n int64) {
+	m := a.m
+	m.mu.Lock()
+	a.commitLocked(n)
+	m.mu.Unlock()
+}
+
+// commitLocked is commit with the manager mutex held.
+func (a *Account) commitLocked(n int64) {
 	a.held += n
 	if a.held > a.peak {
 		a.peak = a.held
 	}
-	m := a.m
-	m.mu.Lock()
-	m.commitLocked(a.g, n)
-	m.mu.Unlock()
+	a.m.commitLocked(a.g, n)
 }
 
 // Release returns n bytes of untracked residency (text fills, or whole
@@ -872,19 +920,13 @@ func (a *Account) Unpin(n *dom.Node) {
 }
 
 // makeRoom spills the account's coldest resident units — largest first —
-// until need more bytes fit under the budget or no victims remain (the
-// reservation then overshoots; the overshoot high-water is recorded in
-// the metrics). Once pressure triggers, it spills past the bare minimum
-// by a headroom of budget/8 so that a steady stream of small fills pays
-// for one victim scan per chunk of traffic, not per fill.
-func (a *Account) makeRoom(need int64) error {
+// until over bytes are released or no victims remain, and reports the
+// bytes it released (0: nothing left to evict). Once pressure triggers,
+// it spills past the bare minimum by a headroom of budget/8 so that a
+// steady stream of small fills pays for one victim scan per chunk of
+// traffic, not per fill. Only admit calls it.
+func (a *Account) makeRoom(over int64) (freed int64, err error) {
 	m := a.m
-	m.mu.Lock()
-	over := m.total + need - m.cfg.Budget
-	m.mu.Unlock()
-	if over <= 0 {
-		return nil
-	}
 	// Free re-drops first: pop the MRU stack of rehydrated units, one at
 	// a time and without headroom — each pop is O(1) and costs no I/O.
 	// MRU is the optimal replacement for the cyclic scans a nested-loop
@@ -899,14 +941,15 @@ func (a *Account) makeRoom(need int64) error {
 		if rec.dead || !rec.resident || !rec.onDisk || rec.pins > 0 {
 			continue // stale entry (freed, already dropped, or pinned)
 		}
-		freed, err := a.spillOne(e.n, rec)
+		n, err := a.spillOne(e.n, rec)
 		if err != nil {
-			return err
+			return freed, err
 		}
-		over -= freed
+		freed += n
+		over -= n
 	}
 	if over <= 0 {
-		return nil
+		return freed, nil
 	}
 	// Fresh spills encode and write a segment and rescan the victim set,
 	// so once pressure triggers this path it evicts past the bare
@@ -937,13 +980,14 @@ func (a *Account) makeRoom(need int64) error {
 		if over <= 0 {
 			break
 		}
-		freed, err := a.spillOne(c.n, c.rec)
+		n, err := a.spillOne(c.n, c.rec)
 		if err != nil {
-			return err
+			return freed, err
 		}
-		over -= freed
+		freed += n
+		over -= n
 	}
-	return nil
+	return freed, nil
 }
 
 // spillOne evicts one resident subtree's children: to its retained
@@ -986,7 +1030,7 @@ func (a *Account) spillOne(n *dom.Node, rec *spillRec) (int64, error) {
 func (a *Account) hydrateHook(rec *spillRec) func(*dom.Node) {
 	return func(n *dom.Node) {
 		rec.pins++
-		if err := a.makeRoom(rec.payload); err != nil {
+		if err := a.admit(rec.payload); err != nil {
 			rec.pins--
 			panic(fmt.Errorf("bufmgr: rehydrate: %w", err))
 		}
@@ -998,13 +1042,13 @@ func (a *Account) hydrateHook(rec *spillRec) func(*dom.Node) {
 		}
 		rec.pins--
 		if err != nil {
+			a.commit(-rec.payload)
 			panic(fmt.Errorf("bufmgr: rehydrate: %w", err))
 		}
 		rec.resident = true
 		a.ticks++
 		rec.seq = a.ticks
 		a.redrop = append(a.redrop, redropEntry{n: n, rec: rec})
-		a.commit(rec.payload)
 		a.rehydratedBytes += rec.payload
 		a.rehydrateOps++
 		m := a.m

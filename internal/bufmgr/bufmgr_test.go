@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fluxquery/internal/dom"
+	"fluxquery/internal/faultinj"
 )
 
 func mustTree(t testing.TB, src string) *dom.Node {
@@ -186,6 +187,67 @@ func TestSpillSkipsPinned(t *testing.T) {
 	}
 	if len(n.Children) != 0 {
 		t.Fatal("unpinned subtree survived pressure")
+	}
+}
+
+// TestSpillAdmissionRecheck: an account that evicted for room must
+// check the ledger again before it commits, because a sibling may take
+// the room while the account is still evicting. A's fill spills two
+// victims; while the second spill write is slowed, B commits into the
+// room the first one freed. A must then evict its third victim, not
+// commit past the budget.
+func TestSpillAdmissionRecheck(t *testing.T) {
+	defer faultinj.Reset()
+	const budget = 8000 // budget/8 = 1000 B of eviction headroom
+	m := New(Config{Budget: budget, Policy: PolicySpill, SpillDir: t.TempDir(), SpillUnit: 1 << 20})
+	defer m.Close()
+	g := m.NewGate()
+	defer g.Close()
+	a, b := g.NewAccount(), g.NewAccount()
+	defer a.Close()
+	defer b.Close()
+
+	tree := func(text int) *dom.Node {
+		return mustTree(t, `<b><x>`+strings.Repeat("y", text)+`</x></b>`)
+	}
+	v1, v2, v3 := tree(2000), tree(2000), tree(1000)
+	for _, n := range []*dom.Node{v1, v2, v3} {
+		if err := a.Filled(n, n.Size(), true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Filled(nil, 1000, false); err != nil {
+		t.Fatal(err)
+	}
+	held := m.Metrics().ReservedBytes
+	p1, p2 := v1.Size()-v1.SelfSize(), v2.Size()-v2.SelfSize()
+	// With the headroom, A's fill asks for p1+1 bytes: v1 (the older of
+	// the two largest) spills, then v2; v3 stays resident.
+	aNeed := budget - held + p1 + 1 - budget/8
+	// B's fill fits once v1 is gone, and leaves A's fill 1 B short.
+	bNeed := p2 + budget/8
+
+	// Every spill write takes 250 ms: the window in which B, polling for
+	// A's first spill, must commit.
+	if err := faultinj.Arm(faultinj.SiteSpillWrite, faultinj.Fault{Mode: faultinj.ModeLatency, Latency: 250 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- a.Filled(nil, aNeed, false) }()
+	for m.Metrics().SpillOps == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := b.Filled(nil, bNeed, false); err != nil {
+		t.Error(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if len(v2.Children) != 0 || len(v3.Children) != 0 {
+		t.Error("A did not evict again after B took the room it freed")
+	}
+	if mt := m.Metrics(); mt.PeakReservedBytes > budget || mt.OvershootPeakBytes != 0 {
+		t.Errorf("reservation peak %d (overshoot %d) past budget %d", mt.PeakReservedBytes, mt.OvershootPeakBytes, budget)
 	}
 }
 

@@ -3,6 +3,7 @@ package mqe
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,6 +28,22 @@ import (
 // collects the acknowledgements. A counting barrier per batch keeps
 // delivery in order for every plan — a plan never sees batch k+1 before
 // it acknowledged batch k — and lets the batch arena recycle safely.
+
+// ResolveParallel is the one place a Parallel setting (Options.Parallel,
+// Set.SetParallel) turns into the pass that runs. 0, the default, picks
+// the pipelined pass with GOMAXPROCS feed workers when the process has
+// two or more Ps and the sequential pass (1) when it has one: a forced
+// pipeline on one P only adds ring hand-offs. Any other value is kept:
+// 1 pins the sequential pass, n >= 2 the pipeline with n workers.
+func ResolveParallel(n int) int {
+	if n != 0 {
+		return n
+	}
+	if p := runtime.GOMAXPROCS(0); p >= 2 {
+		return p
+	}
+	return 1
+}
 
 // PassStats reports a pipelined shared pass's execution metrics; all
 // zeros for sequential passes.

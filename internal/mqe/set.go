@@ -87,8 +87,9 @@ type Set struct {
 	// account per riding plan, so a budget violation is attributed — and,
 	// under bufmgr.PolicyFail, confined — to the individual plan.
 	bufs *bufmgr.Manager
-	// parallel selects pipelined passes (>= 2: staged pipeline with that
-	// many feed workers; 0/1: the sequential pass).
+	// parallel overrides how passes run (see ResolveParallel): 0 is the
+	// default for the host, 1 the sequential pass, n >= 2 the staged
+	// pipeline with n feed workers.
 	parallel int
 	// lastScan reports the most recent pass's projection counters; passes
 	// counts completed Run calls. lastStall is the most recent pass's
@@ -309,10 +310,11 @@ func (s *Set) Ledger() *Ledger {
 	return s.ledger
 }
 
-// SetParallel selects how shared passes execute: n >= 2 runs the staged
-// pipeline (tokenize ∥ validate ∥ dispatch) with up to n feed workers
-// sharding the plan set; 0 or 1 is the sequential single-goroutine pass.
-// Takes effect at the next Run.
+// SetParallel overrides how shared passes execute: n >= 2 runs the
+// staged pipeline (tokenize ∥ validate ∥ dispatch) with up to n feed
+// workers sharding the plan set, 1 the sequential single-goroutine pass,
+// and 0 (the default) resolves from GOMAXPROCS (ResolveParallel). Takes
+// effect at the next Run.
 func (s *Set) SetParallel(n int) {
 	s.mu.Lock()
 	s.parallel = n
@@ -516,7 +518,8 @@ func (s *Set) RunContext(ctx context.Context, r io.Reader) error {
 	disp := s.disp
 	disp.Proj = s.pauto
 	disp.ProjMode = s.pmode
-	disp.Parallel = s.parallel
+	parallel := ResolveParallel(s.parallel)
+	disp.Parallel = parallel
 	var ds DispatchStats
 	ds.Mode = s.dispatch.String()
 	ds.Plans = len(subs)
@@ -534,7 +537,6 @@ func (s *Set) RunContext(ctx context.Context, r io.Reader) error {
 	tracing := s.tracing
 	traceID := s.traceID
 	pmode := s.pmode
-	parallel := s.parallel
 	rec := s.rec
 	reqID := s.reqID
 	ledger := s.ledger

@@ -1,8 +1,8 @@
 package fluxquery
 
-// Differential tests of the pipelined pass: with Options.Parallel (or
-// StreamSet.SetParallel) the tokenizer, validator and dispatcher run on
-// separate goroutines connected by bounded batch rings, and the plan set
+// Differential tests of the pipelined pass: by default on a multi-core
+// host, or with Options.Parallel (StreamSet.SetParallel) >= 2, the
+// tokenizer, validator and dispatcher run on separate goroutines connected by bounded batch rings, and the plan set
 // is sharded across feed workers — but the output must stay byte-
 // identical to the sequential pass on every corpus query, and error
 // semantics (validity errors, tag imbalance, projection trade-offs)
@@ -12,6 +12,9 @@ package fluxquery
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -19,6 +22,68 @@ import (
 	"fluxquery/internal/mqe"
 	"fluxquery/internal/workload"
 )
+
+// TestParallelDefault: with no override, a pass pipelines when
+// GOMAXPROCS >= 2 and runs sequentially on one P, for a single plan and
+// for a fresh StreamSet alike.
+func TestParallelDefault(t *testing.T) {
+	c := workload.ByName("xmp-q3-weak")
+	var doc bytes.Buffer
+	if err := c.Gen(&doc, 20_000, 1); err != nil {
+		t.Fatal(err)
+	}
+	d, err := ParseDTD(c.DTD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			pipelined := procs >= 2
+
+			p := MustCompile(c.Query, c.DTD, Options{})
+			_, tr, err := p.ExecuteTrace(bytes.NewReader(doc.Bytes()), io.Discard, "default")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := hasSpan(tr.Root, "tokenize") && hasSpan(tr.Root, "validate"); got != pipelined {
+				t.Errorf("Options{}: tokenize/validate stage spans = %v, want %v", got, pipelined)
+			}
+
+			// One more plan than feed workers, so the pool is not
+			// capped by the plan count.
+			set := NewStreamSet(d)
+			for i := 0; i <= procs; i++ {
+				if _, err := set.Register(p, io.Discard); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := set.Run(bytes.NewReader(doc.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+			want := 0 // sequential passes report no pipeline metrics
+			if pipelined {
+				want = procs
+			}
+			if got := set.LastPass().Parallel; got != want {
+				t.Errorf("fresh StreamSet: LastPass().Parallel = %d, want %d", got, want)
+			}
+		})
+	}
+}
+
+// hasSpan reports whether the span tree below s holds a span named name.
+func hasSpan(s *TraceSpan, name string) bool {
+	if s.Name == name {
+		return true
+	}
+	for _, c := range s.Children {
+		if hasSpan(c, name) {
+			return true
+		}
+	}
+	return false
+}
 
 // TestParallelDifferentialCorpus: for every workload case and projection
 // mode, pipelined execution is byte-identical to sequential execution,
@@ -32,7 +97,7 @@ func TestParallelDifferentialCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, m := range projModes {
-				seq := MustCompile(c.Query, c.DTD, Options{Projection: m})
+				seq := MustCompile(c.Query, c.DTD, Options{Projection: m, Parallel: 1})
 				par := MustCompile(c.Query, c.DTD, Options{Projection: m, Parallel: 4})
 				want, wantSt, err := seq.ExecuteString(doc.String())
 				if err != nil {
@@ -156,7 +221,7 @@ func TestParallelErrorSemantics(t *testing.T) {
 
 	// Error strings must match the sequential pass exactly (same line,
 	// same message): run a buried validity error through both.
-	seq := MustCompile(query, dtdSrc, Options{Projection: ProjectionValidate})
+	seq := MustCompile(query, dtdSrc, Options{Projection: ProjectionValidate, Parallel: 1})
 	par := MustCompile(query, dtdSrc, Options{Projection: ProjectionValidate, Parallel: 4})
 	_, _, serr := seq.ExecuteString(invalid)
 	_, _, perr := par.ExecuteString(invalid)

@@ -107,10 +107,13 @@ func auctionPlans(t testing.TB) (*DTD, []*Plan, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Parallel: 1 pins each plan's own Execute to the sequential pass,
+	// so the independent runs are a second code path next to the shared
+	// pass (a StreamSet ignores the option).
 	var plans []*Plan
 	for i := 0; i < 8; i++ {
 		c := workload.ByName(names[i%len(names)])
-		plans = append(plans, MustCompile(c.Query, c.DTD, Options{}))
+		plans = append(plans, MustCompile(c.Query, c.DTD, Options{Parallel: 1}))
 	}
 	return d, plans, genCorpusDoc(t, base, 256_000)
 }
