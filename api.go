@@ -350,9 +350,10 @@ type Options struct {
 	// separate goroutines connected by bounded batch rings, so the scan
 	// overlaps the evaluator; the sequential pass runs them on one
 	// goroutine. 0, the default, pipelines when GOMAXPROCS >= 2 and runs
-	// sequentially on one P; 1 pins the sequential pass and n >= 2 the
-	// pipeline. Output is byte-identical either way. StreamSet passes
-	// have their own override, StreamSet.SetParallel.
+	// sequentially on one P; 1 pins the sequential pass and any n >= 2
+	// the pipeline (the number sets no worker count). Output is
+	// byte-identical either way. StreamSet passes have their own
+	// override, StreamSet.SetParallel.
 	Parallel int
 	// Telemetry, when non-nil, publishes the plan's execution metrics
 	// (pass counts, latency, input bytes and events) on the registry.
@@ -798,14 +799,13 @@ func (s *StreamSet) SetBuffers(b *BufferManager) {
 	s.set.SetBuffers(b.m)
 }
 
-// SetParallel overrides how the set's shared passes execute. n >= 2 runs
-// the staged pipeline — tokenize, validate and dispatch on separate
-// goroutines connected by bounded batch rings, with up to n feed
-// workers sharding the plan set by cost estimate (idle workers steal
-// plans from loaded ones). 1 pins the sequential single-goroutine pass.
-// 0, the default, runs the pipeline with GOMAXPROCS workers when
-// GOMAXPROCS >= 2 and the sequential pass on one P. Per-plan outputs
-// are byte-identical either way. Takes effect at the next Run.
+// SetParallel overrides how the set's shared passes execute. Any n >= 2
+// runs the staged pipeline — tokenize, validate and dispatch on separate
+// goroutines connected by bounded batch rings, each plan evaluating on
+// its own goroutine; the number sets no worker count. 1 pins the
+// sequential single-goroutine pass. 0, the default, runs the pipeline
+// when GOMAXPROCS >= 2 and the sequential pass on one P. Per-plan
+// outputs are byte-identical either way. Takes effect at the next Run.
 func (s *StreamSet) SetParallel(n int) { s.set.SetParallel(n) }
 
 // Dispatch selects how a StreamSet's shared passes fan the validated
@@ -1095,16 +1095,15 @@ func (s *StreamSet) SetLedger(q *QueryLedger) {
 // Ledger returns the installed cost ledger (nil when none).
 func (s *StreamSet) Ledger() *QueryLedger { return s.led }
 
-// PassStats reports the pipeline metrics of a parallel shared pass (all
+// PassStats reports the pipeline metrics of a pipelined shared pass (all
 // zeros after sequential passes).
 type PassStats struct {
-	// Parallel is the evaluator worker count the pass ran with.
+	// Parallel is the pass's resolved Parallel setting (>= 2) when it ran
+	// pipelined, whatever the number of riding plans; 0 when it ran
+	// sequentially.
 	Parallel int
 	// Batches counts validated event batches fanned out to the plans.
 	Batches int64
-	// Steals counts plan feeds claimed by a worker outside its own cost
-	// stripe.
-	Steals int64
 	// TokenizeStall, ValidateStall and DispatchStall are the per-stage
 	// blocked times: the tokenizer on a full token ring (validation was
 	// the bottleneck), the validator on a full event ring (evaluation
@@ -1126,7 +1125,6 @@ func (s *StreamSet) LastPass() PassStats {
 	return PassStats{
 		Parallel:      ps.Parallel,
 		Batches:       ps.Batches,
-		Steals:        ps.Steals,
 		TokenizeStall: ps.TokenizeStall,
 		ValidateStall: ps.ValidateStall,
 		DispatchStall: ps.DispatchStall,

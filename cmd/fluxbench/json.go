@@ -60,14 +60,12 @@ type record struct {
 	// parallel measurement from a 1-CPU run is not comparable to one
 	// from 8, so the record carries it.
 	GoMaxProcs int `json:"gomaxprocs,omitempty"`
-	// Parallel is the feed-worker count of a pipelined measurement (the
+	// Parallel is the Parallel setting of a pipelined measurement (the
 	// `parallel` suite; 0 = sequential pass). The remaining fields
-	// describe that pass: work-steal events between evaluator workers,
-	// per-stage stall time (tokenizer blocked on a full ring, validator
-	// blocked on a full ring, dispatcher blocked on an empty ring) and
-	// the rings' occupancy high-water marks.
+	// describe that pass: per-stage stall time (tokenizer blocked on a
+	// full ring, validator blocked on a full ring, dispatcher blocked on
+	// an empty ring) and the rings' occupancy high-water marks.
 	Parallel        int   `json:"parallel,omitempty"`
-	Steals          int64 `json:"steals,omitempty"`
 	TokenizeStallNs int64 `json:"tokenize_stall_ns,omitempty"`
 	ValidateStallNs int64 `json:"validate_stall_ns,omitempty"`
 	DispatchStallNs int64 `json:"dispatch_stall_ns,omitempty"`
@@ -290,11 +288,10 @@ func collectRecords(r *runner) ([]record, error) {
 
 // parallelRecords measures the tentpole: all 8 streaming XMark queries
 // riding one auction stream, first as the sequential shared pass, then
-// pipelined (tokenize ∥ validate ∥ dispatch with r.parallel feed
-// workers sharding the plan set). Both records carry the same suite,
-// query, plans and proj, differing in engine — so a -baseline diff
-// tracks each independently — and the pipelined record adds the
-// per-stage stall, steal and ring-occupancy evidence.
+// pipelined (tokenize ∥ validate ∥ dispatch). Both records carry the
+// same suite, query, plans and proj, differing in engine — so a
+// -baseline diff tracks each independently — and the pipelined record
+// adds the per-stage stall and ring-occupancy evidence.
 func parallelRecords(r *runner) ([]record, error) {
 	names := []string{
 		"xmark-q1", "xmark-q8-join", "xmark-q13", "xmark-q2-bidders",
@@ -315,14 +312,14 @@ func parallelRecords(r *runner) ([]record, error) {
 		plans[i] = fluxquery.MustCompile(c.Query, c.DTD, fluxquery.Options{})
 	}
 	aggregate := int64(len(doc)) * int64(len(plans))
-	workers := r.parallel
-	if workers < 2 {
-		workers = 4
+	piped := r.parallel
+	if piped < 2 {
+		piped = 4
 	}
 
 	var records []record
 	// 1 pins the sequential leg: the default would pipeline it too.
-	for _, par := range []int{1, workers} {
+	for _, par := range []int{1, piped} {
 		set := fluxquery.NewStreamSet(d)
 		set.SetParallel(par)
 		frec := benchRecorder(r.reps)
@@ -367,7 +364,6 @@ func parallelRecords(r *runner) ([]record, error) {
 			ps := set.LastPass()
 			rec.Engine = "flux-mqe-parallel"
 			rec.Parallel = ps.Parallel
-			rec.Steals = ps.Steals
 			rec.TokenizeStallNs = ps.TokenizeStall.Nanoseconds()
 			rec.ValidateStallNs = ps.ValidateStall.Nanoseconds()
 			rec.DispatchStallNs = ps.DispatchStall.Nanoseconds()

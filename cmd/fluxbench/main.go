@@ -78,7 +78,7 @@ func run() int {
 		budget     = flag.String("budget", "", "byte budget for the budgeted (spill) suite, e.g. 512K or 64M; empty = half of each workload's natural peak")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the measured work to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile (taken after the measured work) to this file")
-		parallel   = flag.Int("parallel", 4, "feed-worker count of the parallel suite's pipelined shared pass")
+		parallel   = flag.Int("parallel", 4, "Parallel setting of the parallel suite's pipelined shared pass (values below 2 mean 4)")
 		fault      = flag.String("fault", "", "fault-injection mode: \"sweep\" runs every site x mode; any other value is a faultinj ArmSpec (site:mode[:param], comma-separated) armed for one run")
 	)
 	flag.Parse()
@@ -157,7 +157,7 @@ type runner struct {
 	// budget overrides the budgeted suite's byte budget (0 = half of
 	// each workload's measured natural peak).
 	budget int64
-	// parallel is the feed-worker count of the parallel suite's
+	// parallel is the Parallel setting of the parallel suite's
 	// pipelined measurement.
 	parallel int
 	w        io.Writer

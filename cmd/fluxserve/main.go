@@ -94,8 +94,8 @@
 //
 // When GOMAXPROCS >= 2, each /eval's shared pass runs pipelined:
 // tokenizer, validator and dispatcher on separate goroutines connected
-// by bounded batch rings, the plan set sharded across GOMAXPROCS feed
-// workers. GOMAXPROCS=1 selects the sequential single-goroutine pass;
+// by bounded batch rings, each plan evaluating on its own goroutine.
+// GOMAXPROCS=1 selects the sequential single-goroutine pass;
 // there is no flag, GOMAXPROCS is the one control.
 //
 // -pool bounds the number of concurrently streaming /eval passes
@@ -107,7 +107,7 @@
 // QUERY_NOT_FOUND, INVALID_QUERY, INVALID_DOCUMENT, BAD_REQUEST,
 // INTERNAL, TIMEOUT, CLIENT_GONE, DRAINING); GET /stats reports pool
 // occupancy/rejections and, for pipelined passes, cumulative per-stage
-// stall and work-steal metrics.
+// stall metrics.
 //
 // Timeouts and cancellation: -eval-timeout bounds each /eval pass's
 // wall time — the deadline rides the request context into the engine

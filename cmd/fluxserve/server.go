@@ -138,7 +138,6 @@ type dispatchAgg struct {
 type pipelineAgg struct {
 	Passes              int64 `json:"passes"`
 	Batches             int64 `json:"batches"`
-	Steals              int64 `json:"steals"`
 	TokenizeStallMicros int64 `json:"tokenize_stall_us"`
 	ValidateStallMicros int64 `json:"validate_stall_us"`
 	DispatchStallMicros int64 `json:"dispatch_stall_us"`
@@ -303,7 +302,7 @@ func (s *server) drain(timeout time.Duration) bool {
 }
 
 // setParallel pins how /eval's shared passes run, for tests: 1 is the
-// sequential pass, n >= 2 the pipeline with n feed workers.
+// sequential pass, n >= 2 the pipeline.
 func (s *server) setParallel(n int) { s.parallel = n }
 
 // setDispatch selects the fan-out strategy of /eval's shared passes.
@@ -608,7 +607,7 @@ type evalResponse struct {
 	DurationMicros int64     `json:"duration_us"`
 	Scan           scanStats `json:"scan"`
 	// Pipeline reports the pass's pipeline metrics when it ran pipelined
-	// with two or more feed workers (absent for sequential passes).
+	// (absent for sequential passes).
 	Pipeline *passInfo `json:"pipeline,omitempty"`
 	// Dispatch reports the pass's trie-routing metrics when the server
 	// runs with -dispatch trie (absent under plain fanout).
@@ -622,13 +621,11 @@ type evalResponse struct {
 	Trace *fluxquery.Trace `json:"trace,omitempty"`
 }
 
-// passInfo is one pipelined pass: worker count, batches through the
-// rings, work-steal events, per-stage stall time and ring high-water
-// marks.
+// passInfo is one pipelined pass: its Parallel setting, batches through
+// the rings, per-stage stall time and ring high-water marks.
 type passInfo struct {
 	Parallel            int   `json:"parallel"`
 	Batches             int64 `json:"batches"`
-	Steals              int64 `json:"steals"`
 	TokenizeStallMicros int64 `json:"tokenize_stall_us"`
 	ValidateStallMicros int64 `json:"validate_stall_us"`
 	DispatchStallMicros int64 `json:"dispatch_stall_us"`
@@ -796,7 +793,6 @@ func (s *server) handleEval(w http.ResponseWriter, r *http.Request) {
 		resp.Pipeline = &passInfo{
 			Parallel:            ps.Parallel,
 			Batches:             ps.Batches,
-			Steals:              ps.Steals,
 			TokenizeStallMicros: ps.TokenizeStall.Microseconds(),
 			ValidateStallMicros: ps.ValidateStall.Microseconds(),
 			DispatchStallMicros: ps.DispatchStall.Microseconds(),
@@ -871,7 +867,6 @@ func (s *server) handleEval(w http.ResponseWriter, r *http.Request) {
 	if ps := set.LastPass(); ps.Parallel >= 2 {
 		s.pipeline.Passes++
 		s.pipeline.Batches += ps.Batches
-		s.pipeline.Steals += ps.Steals
 		s.pipeline.TokenizeStallMicros += ps.TokenizeStall.Microseconds()
 		s.pipeline.ValidateStallMicros += ps.ValidateStall.Microseconds()
 		s.pipeline.DispatchStallMicros += ps.DispatchStall.Microseconds()

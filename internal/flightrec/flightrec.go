@@ -6,8 +6,8 @@
 // unattributed cumulative series; the flight recorder answers "what did
 // pass #N do" after the fact. Every completed shared pass deposits one
 // Record — engine configuration, input size, throughput, per-stage stall
-// breakdown, ring peaks, steals, trie deliveries, buffer peaks, spill
-// traffic, fault hits, cancellation reason and terminal error — into a
+// breakdown, ring peaks, trie deliveries, buffer peaks, spill traffic,
+// fault hits, cancellation reason and terminal error — into a
 // preallocated ring. The ring retains the most recent Cap() passes;
 // rollups (count, error rate, throughput, latency percentiles) are
 // computed from the retained records at query time, never from new
@@ -72,11 +72,10 @@ type Record struct {
 	ValidateStall time.Duration `json:"validate_stall_ns,omitempty"`
 	DispatchStall time.Duration `json:"dispatch_stall_ns,omitempty"`
 	GateStall     time.Duration `json:"gate_stall_ns,omitempty"`
-	// TokenRingPeak and EventRingPeak are ring high-water marks;
-	// Steals counts cross-stripe feed claims (pipelined passes only).
-	TokenRingPeak int   `json:"token_ring_peak,omitempty"`
-	EventRingPeak int   `json:"event_ring_peak,omitempty"`
-	Steals        int64 `json:"steals,omitempty"`
+	// TokenRingPeak and EventRingPeak are ring high-water marks
+	// (pipelined passes only).
+	TokenRingPeak int `json:"token_ring_peak,omitempty"`
+	EventRingPeak int `json:"event_ring_peak,omitempty"`
 
 	// TrieEvents and TrieDeliveries are the dispatch trie's routing
 	// totals (zero under plain fanout).

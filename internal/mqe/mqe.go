@@ -57,7 +57,8 @@ import (
 // dispatcher itself blocks. After EndFeed reports done (or after the
 // dispatcher's pass ends) the consumer receives exactly one Close with
 // the stream's terminal status: io.EOF for a clean end, the stream error
-// otherwise.
+// otherwise. A panic escaping BeginFeed or EndFeed detaches that consumer
+// alone: its one Close carries the panic as the error.
 type Consumer interface {
 	// BeginFeed hands over a batch of owned events without waiting.
 	BeginFeed(evs []xsax.Event)
@@ -94,8 +95,9 @@ type Dispatcher struct {
 	Gate *bufmgr.Gate
 	// Parallel, when >= 2, runs passes in pipelined form: tokenize,
 	// validate and dispatch on separate goroutines connected by bounded
-	// batch rings, with up to Parallel feed workers sharding the
-	// consumer set (see parallel.go). 0 or 1 is the sequential pass.
+	// batch rings (see parallel.go). The value sets no worker count: the
+	// plans already evaluate on their own goroutines. 0 or 1 is the
+	// sequential pass.
 	Parallel int
 	// Trie, when non-nil, replaces whole-batch fanout with trie-routed
 	// dispatch (see trie.go): each event resolves one trie node and is
@@ -162,9 +164,7 @@ func (d *Dispatcher) RunScan(r io.Reader, consumers []Consumer) (xsax.ScanStats,
 		maxBytes = defaultBatchBytes
 	}
 
-	live := make([]Consumer, len(consumers))
-	copy(live, consumers)
-
+	f := newFanout(consumers)
 	xr := xsax.GetReader(r, d.DTD)
 	if d.Proj != nil && d.ProjMode != proj.ModeOff {
 		xr.SetProjection(d.Proj, d.ProjMode)
@@ -204,30 +204,16 @@ func (d *Dispatcher) RunScan(r io.Reader, consumers []Consumer) (xsax.ScanStats,
 		if b.Len() == 0 {
 			continue
 		}
-		// Start every consumer on the batch, then collect: the plans
-		// evaluate concurrently, the batch arena is reused only after the
-		// slowest EndFeed.
-		for _, c := range live {
-			c.BeginFeed(b.Events)
-		}
-		keep := live[:0]
-		for _, c := range live {
-			if done, _ := c.EndFeed(); done {
-				c.Close(cause)
-				continue
-			}
-			keep = append(keep, c)
-		}
-		live = keep
+		// The plans evaluate concurrently; the batch arena is reused only
+		// after the slowest acknowledgement.
+		f.feed(b.Events)
 		if obs != nil {
 			dispTime += time.Since(t1)
 			batches++
 			events += int64(b.Len())
 		}
 	}
-	for _, c := range live {
-		c.Close(cause)
-	}
+	f.close(cause)
 	if obs != nil {
 		obs.Scan.AddTime(scanTime)
 		obs.Dispatch.AddTime(dispTime)

@@ -1,20 +1,30 @@
 package mqe
 
 import (
+	"fmt"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 
+	"fluxquery/internal/dtd"
+	"fluxquery/internal/shared"
+	"fluxquery/internal/xmltok"
 	"fluxquery/internal/xsax"
 )
 
-// fakeConsumer counts feeds; panicOn makes BeginFeed panic on the n-th
-// call (1-based), modelling a consumer whose feed hooks blow up inside
-// an evaluator worker.
+// fakeConsumer records every batch it is fed; panicOn makes BeginFeed
+// and endPanicOn makes EndFeed panic on the n-th call (1-based),
+// modelling a consumer whose feed hooks blow up on the dispatcher
+// goroutine.
 type fakeConsumer struct {
-	feeds   int
-	panicOn int
-	closed  bool
-	cause   error
+	feeds      int
+	panicOn    int
+	acks       int
+	endPanicOn int
+	batches    []string
+	closes     int
+	cause      error
 }
 
 func (f *fakeConsumer) BeginFeed(evs []xsax.Event) {
@@ -22,107 +32,185 @@ func (f *fakeConsumer) BeginFeed(evs []xsax.Event) {
 	if f.panicOn > 0 && f.feeds == f.panicOn {
 		panic("synthetic feed panic")
 	}
+	var b strings.Builder
+	for i := range evs {
+		fmt.Fprintf(&b, "%v:%s:%s;", evs[i].Kind, evs[i].Name, evs[i].Data)
+	}
+	f.batches = append(f.batches, b.String())
 }
-func (f *fakeConsumer) EndFeed() (bool, error) { return false, nil }
-func (f *fakeConsumer) Close(cause error)      { f.closed = true; f.cause = cause }
+func (f *fakeConsumer) EndFeed() (bool, error) {
+	f.acks++
+	if f.endPanicOn > 0 && f.acks == f.endPanicOn {
+		panic("synthetic ack panic")
+	}
+	return false, nil
+}
+func (f *fakeConsumer) Close(cause error) { f.closes++; f.cause = cause }
 
-// TestEvalPoolPanicIsolation: a panic escaping one consumer's feed
-// hooks fails that task (and at most the other tasks the panicking
-// worker had already claimed this batch — never the whole pool), the
-// barrier still joins (no wedged pool), and the pool remains fully
-// usable for the next batch.
+// TestEvalPoolPanicIsolation: a panic escaping one consumer's BeginFeed
+// in the shared feed step fails that task alone, with the panic as its
+// error; every sibling is fed and acknowledged as usual, and the step
+// stays usable for the next batch over the healthy consumers, reusing
+// its result storage.
 func TestEvalPoolPanicIsolation(t *testing.T) {
-	pool := newEvalPool(2)
-	defer pool.close()
 	evs := make([]xsax.Event, 1)
+	batch := func(int) []xsax.Event { return evs }
 
 	bad := &fakeConsumer{panicOn: 1}
 	goods := []*fakeConsumer{{}, {}, {}}
 	tasks := []Consumer{bad, goods[0], goods[1], goods[2]}
-	pool.feed(tasks, evs)
+	res := feedAll(tasks, batch, nil)
 
-	var badRes feedResult
-	poisoned := 0
-	for i, c := range tasks {
-		if c == Consumer(bad) {
-			badRes = pool.res[i]
-			continue
-		}
-		if pool.res[i].err != nil {
-			// Collateral: the panicking worker had claimed this task too.
-			// Allowed, but it must carry the panic error, not be silent.
-			poisoned++
-			if !strings.Contains(pool.res[i].err.Error(), "panic") {
-				t.Errorf("task %d failed with non-panic error: %v", i, pool.res[i].err)
-			}
-		}
+	if len(res) != len(tasks) {
+		t.Fatalf("%d results for %d tasks", len(res), len(tasks))
 	}
-	if !badRes.done || badRes.err == nil || !strings.Contains(badRes.err.Error(), "panic") {
-		t.Fatalf("panicking task result = %+v, want done with panic error", badRes)
+	if !res[0].done || res[0].err == nil || !strings.Contains(res[0].err.Error(), "panic") {
+		t.Fatalf("panicking task result = %+v, want done with panic error", res[0])
 	}
-	// The sibling worker's tasks survive: the panic never poisons the
-	// whole batch.
-	if poisoned >= len(goods) {
-		t.Fatalf("panic poisoned all %d sibling tasks", poisoned)
+	if bad.acks != 0 {
+		t.Errorf("panicking task acknowledged %d times, want 0", bad.acks)
+	}
+	for i, g := range goods {
+		if r := res[i+1]; r.done || r.err != nil {
+			t.Errorf("sibling %d result = %+v, want live", i, r)
+		}
+		if g.feeds != 1 || g.acks != 1 {
+			t.Errorf("sibling %d: %d feeds, %d acks; want 1 and 1", i, g.feeds, g.acks)
+		}
 	}
 
-	// The pool survives: a follow-up batch over the healthy consumers
-	// completes normally and every one of them is fed.
-	before := []int{goods[0].feeds, goods[1].feeds, goods[2].feeds}
-	pool.feed([]Consumer{goods[0], goods[1], goods[2]}, evs)
-	for i := range 3 {
-		if pool.res[i].done || pool.res[i].err != nil {
-			t.Errorf("follow-up batch task %d: %+v", i, pool.res[i])
+	res = feedAll([]Consumer{goods[0], goods[1], goods[2]}, batch, res)
+	if len(res) != len(goods) {
+		t.Fatalf("follow-up batch: %d results for %d tasks", len(res), len(goods))
+	}
+	for i, g := range goods {
+		if res[i].done || res[i].err != nil {
+			t.Errorf("follow-up batch task %d: %+v", i, res[i])
 		}
-		if goods[i].feeds != before[i]+1 {
-			t.Errorf("consumer %d feeds = %d, want %d", i, goods[i].feeds, before[i]+1)
+		if g.feeds != 2 || g.acks != 2 {
+			t.Errorf("consumer %d: %d feeds, %d acks; want 2 and 2", i, g.feeds, g.acks)
 		}
 	}
 }
 
-// TestEvalPoolPanicMidStripe: a worker that panics after claiming some
-// tasks but before collecting acknowledgements fails exactly its
-// claimed-but-uncollected tasks; tasks another worker claimed (or
-// stole) are unaffected.
+// TestEvalPoolPanicMidStripe: a panic in the middle of a batch — in one
+// task's BeginFeed and in another's EndFeed — fails exactly those two
+// tasks; the tasks begun before and after them still receive their own
+// batch and are acknowledged.
 func TestEvalPoolPanicMidStripe(t *testing.T) {
-	pool := newEvalPool(2)
-	defer pool.close()
-	evs := make([]xsax.Event, 1)
-
-	// Eight tasks across two workers; one panics on its second claim, so
-	// the worker dies owning at least one claimed task while its sibling
-	// keeps running and steals the rest.
+	batches := make([][]xsax.Event, 8)
 	consumers := make([]Consumer, 8)
-	var bad *fakeConsumer
+	fakes := make([]*fakeConsumer, 8)
 	for i := range consumers {
-		f := &fakeConsumer{}
-		if i == 4 {
-			f.panicOn = 1
-			bad = f
-		}
-		consumers[i] = f
+		batches[i] = []xsax.Event{{Kind: xmltok.Text, Data: []byte(fmt.Sprint(i))}}
+		fakes[i] = &fakeConsumer{}
+		consumers[i] = fakes[i]
 	}
-	pool.feed(consumers, evs)
+	fakes[3].panicOn = 1
+	fakes[5].endPanicOn = 1
+	res := feedAll(consumers, func(i int) []xsax.Event { return batches[i] }, nil)
 
-	failed := 0
-	for i, c := range consumers {
-		res := pool.res[i]
-		if c == Consumer(bad) {
-			if !res.done || res.err == nil {
-				t.Errorf("panicking task %d not failed: %+v", i, res)
+	for i, f := range fakes {
+		failed := i == 3 || i == 5
+		if res[i].done != failed || (res[i].err != nil) != failed {
+			t.Errorf("task %d result = %+v, want failed=%v", i, res[i], failed)
+		}
+		if failed {
+			if !strings.Contains(res[i].err.Error(), "panic") {
+				t.Errorf("task %d failed with non-panic error: %v", i, res[i].err)
 			}
 			continue
 		}
-		if res.err != nil {
-			failed++
-			if !strings.Contains(res.err.Error(), "panic") {
-				t.Errorf("task %d failed with non-panic error: %v", i, res.err)
+		if f.acks != 1 || len(f.batches) != 1 || !strings.HasSuffix(f.batches[0], ":"+fmt.Sprint(i)+";") {
+			t.Errorf("task %d: %d acks, batches %q; want its own batch, acknowledged once", i, f.acks, f.batches)
+		}
+	}
+	if fakes[3].acks != 0 {
+		t.Errorf("task that panicked in BeginFeed was acknowledged %d times", fakes[3].acks)
+	}
+}
+
+// TestDispatcherContract: in every pass kind — sequential and pipelined,
+// whole-batch fanout and trie routing, over a valid and a truncated
+// document — a consumer whose feed hook panics is closed once with the
+// panic, every sibling receives the same batches in order and is closed
+// with the stream's terminal status, and the pass returns the stream's
+// error, never the panic.
+func TestDispatcherContract(t *testing.T) {
+	d := dtd.MustParse(weakBib)
+	valid := bibDoc(40)
+	docs := map[string]string{"valid": valid, "truncated": valid[:len(valid)/2]}
+	auto := plan(t, q3, d).ProjAutomaton()
+	for _, par := range []int{1, 2} {
+		for _, mode := range []DispatchMode{DispatchFanout, DispatchTrie} {
+			for _, doc := range []string{"valid", "truncated"} {
+				t.Run(fmt.Sprintf("parallel=%d/%v/%s", par, mode, doc), func(t *testing.T) {
+					src := docs[doc]
+					streamErr := (&Dispatcher{DTD: d}).Run(strings.NewReader(src), nil)
+					if (streamErr == nil) != (doc == "valid") {
+						t.Fatalf("validation pass error = %v", streamErr)
+					}
+
+					bad := &fakeConsumer{panicOn: 2}
+					sibs := []*fakeConsumer{{}, {}, {}}
+					cons := []Consumer{sibs[0], bad, sibs[1], sibs[2]}
+					disp := &Dispatcher{DTD: d, BatchEvents: 7, Parallel: par}
+					if mode == DispatchTrie {
+						reqs := make([]shared.PlanReq, len(cons))
+						for i := range reqs {
+							reqs[i] = shared.PlanReq{Auto: auto, NeedShells: true}
+						}
+						disp.Trie = shared.Build(reqs, len(d.IDNames()))
+					}
+					err := disp.Run(strings.NewReader(src), cons)
+
+					if fmt.Sprint(err) != fmt.Sprint(streamErr) {
+						t.Errorf("pass error = %v, want the stream's %v", err, streamErr)
+					}
+					if bad.closes != 1 || bad.cause == nil || !strings.Contains(bad.cause.Error(), "panic") {
+						t.Errorf("panicking consumer: %d closes, cause %v; want one close with the panic", bad.closes, bad.cause)
+					}
+					if bad.feeds != 2 {
+						t.Errorf("panicking consumer fed %d times after detaching, want 2 feeds", bad.feeds)
+					}
+					want := streamErr
+					if want == nil {
+						want = io.EOF
+					}
+					for i, s := range sibs {
+						if s.closes != 1 || fmt.Sprint(s.cause) != fmt.Sprint(want) {
+							t.Errorf("sibling %d: %d closes, cause %v; want one close with %v", i, s.closes, s.cause, want)
+						}
+						if len(s.batches) < 2 || !slices.Equal(s.batches, sibs[0].batches) {
+							t.Errorf("sibling %d saw %d batches, sibling 0 saw %d; want the same batches in order",
+								i, len(s.batches), len(sibs[0].batches))
+						}
+					}
+					if mode == DispatchFanout && doc == "valid" {
+						if got, all := strings.Join(sibs[0].batches, ""), eventTrace(t, d, src); got != all {
+							t.Errorf("fanout siblings did not receive the full event stream")
+						}
+					}
+				})
 			}
 		}
 	}
-	// Collateral damage is bounded to the panicking worker's claims of
-	// this batch — strictly fewer than all the sibling's tasks.
-	if failed >= len(consumers)-1 {
-		t.Errorf("panic poisoned %d sibling tasks (whole batch)", failed)
+}
+
+// eventTrace renders a valid document's validated event stream in the
+// fakeConsumer's batch format.
+func eventTrace(t *testing.T, d *dtd.DTD, doc string) string {
+	t.Helper()
+	var b strings.Builder
+	xr := xsax.NewReader(strings.NewReader(doc), d)
+	for {
+		ev, err := xr.NextEvent()
+		if err == io.EOF {
+			return b.String()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%v:%s:%s;", ev.Kind, ev.Name, ev.Data)
 	}
 }

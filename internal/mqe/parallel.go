@@ -4,37 +4,29 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"fluxquery/internal/proj"
 	"fluxquery/internal/xsax"
 )
 
-// This file implements the pipelined form of the shared pass. The
-// tokenize and validate stages move onto their own goroutines (see
-// xsax.Pipeline); this dispatcher becomes the third stage, pulling
-// validated batches off the event ring and fanning each one out to the
-// registered plans through a pool of feed workers.
-//
-// The workers shard the plan set: plans are ordered by descending cost
-// estimate and dealt round-robin, so each worker owns a balanced stripe.
-// Per batch, a worker claims the plans of its own stripe first (an
-// atomic flag per plan keeps claims exclusive), then steals any plan a
-// loaded sibling has not started yet, begins every claimed feed (the
-// plan evaluators run concurrently on their own goroutines) and finally
-// collects the acknowledgements. A counting barrier per batch keeps
-// delivery in order for every plan — a plan never sees batch k+1 before
-// it acknowledged batch k — and lets the batch arena recycle safely.
+// This file implements the pipelined form of the shared pass and the
+// feed step every pass shares. The tokenize and validate stages move onto
+// their own goroutines (see xsax.Pipeline); this dispatcher becomes the
+// third stage, pulling validated batches off the event ring and handing
+// each one to the registered plans through feedAll. Every plan already
+// evaluates on its own goroutine, so the dispatcher only begins each
+// plan's feed and then collects the acknowledgements: a plan never sees
+// batch k+1 before it acknowledged batch k, and the batch arena recycles
+// only after the slowest plan.
 
 // ResolveParallel is the one place a Parallel setting (Options.Parallel,
 // Set.SetParallel) turns into the pass that runs. 0, the default, picks
-// the pipelined pass with GOMAXPROCS feed workers when the process has
-// two or more Ps and the sequential pass (1) when it has one: a forced
-// pipeline on one P only adds ring hand-offs. Any other value is kept:
-// 1 pins the sequential pass, n >= 2 the pipeline with n workers.
+// the pipelined pass (reported as GOMAXPROCS) when the process has two or
+// more Ps and the sequential pass (1) when it has one: a forced pipeline
+// on one P only adds ring hand-offs. Any other value is kept: 1 pins the
+// sequential pass, n >= 2 the pipeline; the number sets no worker count.
 func ResolveParallel(n int) int {
 	if n != 0 {
 		return n
@@ -48,13 +40,11 @@ func ResolveParallel(n int) int {
 // PassStats reports a pipelined shared pass's execution metrics; all
 // zeros for sequential passes.
 type PassStats struct {
-	// Parallel is the evaluator worker count the pass ran with.
+	// Parallel is the pass's resolved Parallel setting (>= 2) when it ran
+	// pipelined, 0 when it ran sequentially.
 	Parallel int
 	// Batches counts validated batches fanned out.
 	Batches int64
-	// Steals counts plan feeds claimed by a worker outside its own
-	// stripe.
-	Steals int64
 	// TokenizeStall, ValidateStall and DispatchStall are the per-stage
 	// blocked times: the tokenizer waiting on a full token ring, the
 	// validator waiting on a full event ring, and the dispatcher waiting
@@ -63,11 +53,6 @@ type PassStats struct {
 	// TokenRingPeak and EventRingPeak are high-water ring occupancies.
 	TokenRingPeak, EventRingPeak int
 }
-
-// Costed is implemented by consumers whose relative per-batch feeding
-// cost can be estimated; the evaluator pool uses it to balance its
-// worker stripes. Consumers without it weigh 1.
-type Costed interface{ FeedCost() int }
 
 // RunScanPass is RunScan, additionally reporting pipeline metrics. With
 // Parallel >= 2 the pass runs in pipelined form; otherwise it is the
@@ -83,20 +68,16 @@ func (d *Dispatcher) RunScanPass(r io.Reader, consumers []Consumer) (xsax.ScanSt
 	return sc, PassStats{}, err
 }
 
-func (d *Dispatcher) runPipelined(r io.Reader, consumers []Consumer) (xsax.ScanStats, PassStats, error) {
-	live := make([]Consumer, len(consumers))
-	copy(live, consumers)
-	// Cost-ordered so the round-robin deal below balances the stripes.
-	sort.SliceStable(live, func(i, j int) bool { return feedCost(live[i]) > feedCost(live[j]) })
-
+// newPipeline starts the tokenize and validate stages of a pipelined
+// pass. Pipelined batches default to 4x the sequential size: every batch
+// pays two ring hand-offs plus one feed rendezvous per plan, so larger
+// batches amortize the coordination without changing delivery
+// semantics. Explicit Dispatcher sizes still win.
+func (d *Dispatcher) newPipeline(r io.Reader) *xsax.Pipeline {
 	var pa *proj.Automaton
 	if d.Proj != nil && d.ProjMode != proj.ModeOff {
 		pa = d.Proj
 	}
-	// Pipelined batches default to 4x the sequential size: every batch
-	// pays two ring handoffs plus a feed-worker barrier (one wakeup per
-	// worker), so larger batches amortize the coordination without
-	// changing delivery semantics. Explicit Dispatcher sizes still win.
 	be, bb := d.BatchEvents, d.BatchBytes
 	if be <= 0 {
 		be = 4 * defaultBatchEvents
@@ -104,7 +85,7 @@ func (d *Dispatcher) runPipelined(r io.Reader, consumers []Consumer) (xsax.ScanS
 	if bb <= 0 {
 		bb = 4 * defaultBatchBytes
 	}
-	pl := xsax.NewPipeline(r, d.DTD, xsax.PipelineConfig{
+	return xsax.NewPipeline(r, d.DTD, xsax.PipelineConfig{
 		BatchEvents: be,
 		BatchBytes:  bb,
 		Proj:        pa,
@@ -112,18 +93,24 @@ func (d *Dispatcher) runPipelined(r io.Reader, consumers []Consumer) (xsax.ScanS
 		Throttle:    d.Gate.Wait,
 		Ctx:         d.Ctx,
 	})
+}
 
-	workers := d.Parallel
-	if workers > len(live) {
-		workers = len(live)
+// passStats is the PassStats of a pipelined pass that fanned out batches.
+func (d *Dispatcher) passStats(batches int64, pps xsax.PipeStats) PassStats {
+	return PassStats{
+		Parallel:      d.Parallel,
+		Batches:       batches,
+		TokenizeStall: pps.TokStall,
+		ValidateStall: pps.ValStall,
+		DispatchStall: pps.DispStall,
+		TokenRingPeak: pps.TokRingPeak,
+		EventRingPeak: pps.ValRingPeak,
 	}
-	var pool *evalPool
-	if workers >= 2 {
-		pool = newEvalPool(workers)
-	} else {
-		workers = 1
-	}
+}
 
+func (d *Dispatcher) runPipelined(r io.Reader, consumers []Consumer) (xsax.ScanStats, PassStats, error) {
+	f := newFanout(consumers)
+	pl := d.newPipeline(r)
 	obs := d.Obs
 	var scanTime, dispTime time.Duration
 	var cause error
@@ -147,37 +134,10 @@ func (d *Dispatcher) runPipelined(r io.Reader, consumers []Consumer) (xsax.ScanS
 			cause = err
 			break
 		}
-		if vb.Len() > 0 && len(live) > 0 {
+		if vb.Len() > 0 && len(f.live) > 0 {
 			batches++
 			events += int64(vb.Len())
-			if pool != nil && len(live) > 1 {
-				pool.feed(live, vb.Events)
-				keep := live[:0]
-				for i, c := range live {
-					if pool.res[i].done {
-						// A worker-side failure (panic isolation) reaches the
-						// consumer here; an evaluator-side termination already
-						// recorded its own error and ignores the cause.
-						c.Close(pool.res[i].err)
-						continue
-					}
-					keep = append(keep, c)
-				}
-				live = keep
-			} else {
-				for _, c := range live {
-					c.BeginFeed(vb.Events)
-				}
-				keep := live[:0]
-				for _, c := range live {
-					if done, _ := c.EndFeed(); done {
-						c.Close(nil)
-						continue
-					}
-					keep = append(keep, c)
-				}
-				live = keep
-			}
+			f.feed(vb.Events)
 			if obs != nil {
 				dispTime += time.Since(t1)
 			}
@@ -187,24 +147,8 @@ func (d *Dispatcher) runPipelined(r io.Reader, consumers []Consumer) (xsax.ScanS
 	// Close consumers (releasing their budget accounts) before joining
 	// the pipeline: the tokenizer stage may be parked in a gate wait
 	// that only drains when accounts release.
-	for _, c := range live {
-		c.Close(cause)
-	}
-	var steals int64
-	if pool != nil {
-		steals = pool.close()
-	}
+	f.close(cause)
 	sc, pps, _ := pl.Close()
-	ps := PassStats{
-		Parallel:      workers,
-		Batches:       batches,
-		Steals:        steals,
-		TokenizeStall: pps.TokStall,
-		ValidateStall: pps.ValStall,
-		DispatchStall: pps.DispStall,
-		TokenRingPeak: pps.TokRingPeak,
-		EventRingPeak: pps.ValRingPeak,
-	}
 	if obs != nil {
 		// In a pipelined pass the dispatcher's "scan" time is its wait on
 		// the validated-batch ring — the stage goroutines overlap it, so
@@ -216,171 +160,91 @@ func (d *Dispatcher) runPipelined(r io.Reader, consumers []Consumer) (xsax.ScanS
 		obs.Batches = batches
 		obs.Events = events
 	}
+	ps := d.passStats(batches, pps)
 	if cause == io.EOF {
 		return sc, ps, nil
 	}
 	return sc, ps, cause
 }
 
-func feedCost(c Consumer) int {
-	if cc, ok := c.(Costed); ok {
-		return cc.FeedCost()
-	}
-	return 1
-}
-
-// feedResult is one consumer's acknowledgement of one batch.
+// feedResult is one task's outcome of one feed step: whether it
+// terminated, and — when a panic escaped its feed hooks — the panic as
+// its error. A plan that terminated on its own recorded its error itself.
 type feedResult struct {
 	done bool
 	err  error
 }
 
-// evalPool is a fixed set of feed workers fanning batches to consumers.
-// Worker-owned state (mine) and claimed slots are exclusive per batch;
-// the ready/done channel pair is the per-batch barrier that publishes
-// tasks/evs/res between the dispatcher and the workers.
-type evalPool struct {
-	n     int
-	ready []chan struct{}
-	donec chan struct{}
-	wg    sync.WaitGroup
-
-	tasks []Consumer
-	evs   []xsax.Event
-	// evsEach, when non-nil, gives every task its own event slice
-	// (trie-routed passes feed per-plan batches); otherwise all tasks
-	// share evs.
-	evsEach [][]xsax.Event
-	claims  []int32
-	res     []feedResult
-	// coll marks tasks whose acknowledgement was collected this batch;
-	// panic recovery uses it to fail only the claimed-but-uncollected
-	// tasks of the panicking worker.
-	coll   []bool
-	mine   [][]int
-	steals atomic.Int64
-}
-
-func newEvalPool(n int) *evalPool {
-	p := &evalPool{n: n, donec: make(chan struct{}, n), mine: make([][]int, n)}
-	for w := 0; w < n; w++ {
-		ch := make(chan struct{}, 1)
-		p.ready = append(p.ready, ch)
-		p.wg.Add(1)
-		go p.worker(w, ch)
+// feedAll is the one fan-out step of every pass: it begins every task on
+// its batch (evs(i) for tasks[i]), so the plans evaluate concurrently on
+// their own goroutines, then collects each acknowledgement in order. It
+// returns one result per task, reusing res's storage. A panic escaping a
+// task's BeginFeed or EndFeed terminates that task alone; its siblings
+// are fed and collected as usual, and the pass goes on.
+func feedAll(tasks []Consumer, evs func(i int) []xsax.Event, res []feedResult) []feedResult {
+	res = slices.Grow(res[:0], len(tasks))[:len(tasks)]
+	for i, c := range tasks {
+		res[i] = beginFeed(c, evs(i))
 	}
-	return p
-}
-
-func (p *evalPool) worker(id int, ready chan struct{}) {
-	defer p.wg.Done()
-	for range ready {
-		p.safeFeed(id)
-		p.donec <- struct{}{}
+	for i, c := range tasks {
+		if !res[i].done {
+			res[i] = endFeed(c)
+		}
 	}
+	return res
 }
 
-// safeFeed runs one batch's fan-out with panic isolation: a panic
-// escaping a consumer's feed hooks terminates only the tasks this
-// worker had claimed — each is marked done with the panic as its
-// per-plan error, delivered through Close by the driver — while
-// sibling workers, their tasks and the shared pass itself continue.
-// (Plan evaluator panics never reach here: the StepExec goroutine
-// converts them to per-plan errors itself.)
-func (p *evalPool) safeFeed(id int) {
+func beginFeed(c Consumer, evs []xsax.Event) (res feedResult) {
 	defer func() {
 		if r := recover(); r != nil {
-			err := fmt.Errorf("mqe: feed worker panic: %v", r)
-			for _, i := range p.mine[id] {
-				if !p.coll[i] {
-					p.res[i] = feedResult{done: true, err: err}
-				}
-			}
+			res = feedResult{done: true, err: feedPanic(r)}
 		}
 	}()
-	p.feedWorker(id)
+	c.BeginFeed(evs)
+	return feedResult{}
 }
 
-// feed fans one batch out to every task and waits for all workers to
-// collect every acknowledgement; afterwards res holds one entry per
-// task.
-func (p *evalPool) feed(tasks []Consumer, evs []xsax.Event) {
-	p.tasks, p.evs, p.evsEach = tasks, evs, nil
-	p.run()
-}
-
-// feedEach is feed with a distinct event slice per task: evsEach[i]
-// goes to tasks[i]. Trie-routed passes use it to flush several plans'
-// pending batches through the worker pool at once.
-func (p *evalPool) feedEach(tasks []Consumer, evsEach [][]xsax.Event) {
-	p.tasks, p.evs, p.evsEach = tasks, nil, evsEach
-	p.run()
-}
-
-func (p *evalPool) run() {
-	tasks := p.tasks
-	if cap(p.claims) < len(tasks) {
-		p.claims = make([]int32, len(tasks))
-		p.res = make([]feedResult, len(tasks))
-		p.coll = make([]bool, len(tasks))
-	}
-	p.claims = p.claims[:len(tasks)]
-	p.res = p.res[:len(tasks)]
-	p.coll = p.coll[:len(tasks)]
-	for i := range p.claims {
-		p.claims[i] = 0
-		p.res[i] = feedResult{}
-		p.coll[i] = false
-	}
-	for _, ch := range p.ready {
-		ch <- struct{}{}
-	}
-	for range p.ready {
-		<-p.donec
-	}
-}
-
-func (p *evalPool) feedWorker(id int) {
-	n := len(p.tasks)
-	mine := p.mine[id][:0]
-	evsFor := func(i int) []xsax.Event {
-		if p.evsEach != nil {
-			return p.evsEach[i]
+func endFeed(c Consumer) (res feedResult) {
+	defer func() {
+		if r := recover(); r != nil {
+			res = feedResult{done: true, err: feedPanic(r)}
 		}
-		return p.evs
-	}
-	// Own stripe first (tasks are cost-ordered and dealt round-robin)…
-	// p.mine[id] is kept current claim-by-claim so panic recovery knows
-	// exactly which tasks this worker owns.
-	for i := id; i < n; i += p.n {
-		if atomic.CompareAndSwapInt32(&p.claims[i], 0, 1) {
-			mine = append(mine, i)
-			p.mine[id] = mine
-			p.tasks[i].BeginFeed(evsFor(i))
-		}
-	}
-	// …then steal whatever a loaded sibling has not started yet.
-	for i := 0; i < n; i++ {
-		if atomic.CompareAndSwapInt32(&p.claims[i], 0, 1) {
-			p.steals.Add(1)
-			mine = append(mine, i)
-			p.mine[id] = mine
-			p.tasks[i].BeginFeed(evsFor(i))
-		}
-	}
-	p.mine[id] = mine
-	for _, i := range mine {
-		done, err := p.tasks[i].EndFeed()
-		p.res[i] = feedResult{done: done, err: err}
-		p.coll[i] = true
-	}
+	}()
+	done, _ := c.EndFeed()
+	return feedResult{done: done}
 }
 
-// close joins the workers and returns the pass's steal count.
-func (p *evalPool) close() int64 {
-	for _, ch := range p.ready {
-		close(ch)
+func feedPanic(r any) error { return fmt.Errorf("mqe: consumer feed panic: %v", r) }
+
+// fanout is whole-batch delivery: every batch goes to every live
+// consumer, and a consumer that terminates is closed and detached.
+type fanout struct {
+	live []Consumer
+	res  []feedResult
+}
+
+func newFanout(consumers []Consumer) *fanout {
+	return &fanout{live: slices.Clone(consumers)}
+}
+
+// feed fans one owned batch out to every live consumer.
+func (f *fanout) feed(evs []xsax.Event) {
+	f.res = feedAll(f.live, func(int) []xsax.Event { return evs }, f.res)
+	keep := f.live[:0]
+	for i, c := range f.live {
+		if f.res[i].done {
+			c.Close(f.res[i].err)
+			continue
+		}
+		keep = append(keep, c)
 	}
-	p.wg.Wait()
-	return p.steals.Load()
+	f.live = keep
+}
+
+// close delivers the stream's terminal status to every live consumer.
+func (f *fanout) close(cause error) {
+	for _, c := range f.live {
+		c.Close(cause)
+	}
+	f.live = nil
 }

@@ -76,9 +76,6 @@ type Set struct {
 	// reaches once class membership is multiplied back in.
 	trieMembers [][]int32
 	trieMaxFan  int
-	// sstats is the DTD's schema-statistics bundle, computed on first
-	// registration and reused for every plan's dispatch-cost estimate.
-	sstats *shared.SchemaStats
 	// lastDispatch reports the most recent pass's dispatch-layer
 	// statistics.
 	lastDispatch DispatchStats
@@ -89,7 +86,7 @@ type Set struct {
 	bufs *bufmgr.Manager
 	// parallel overrides how passes run (see ResolveParallel): 0 is the
 	// default for the host, 1 the sequential pass, n >= 2 the staged
-	// pipeline with n feed workers.
+	// pipeline.
 	parallel int
 	// lastScan reports the most recent pass's projection counters; passes
 	// counts completed Run calls. lastStall is the most recent pass's
@@ -134,10 +131,6 @@ type Sub struct {
 	name    string
 	out     io.Writer
 	removed atomic.Bool
-	// cost is the plan's expected delivered-event count under the set's
-	// schema statistics (shared.PlanCostInt), stamped at registration;
-	// the evaluator pool orders its worker stripes by it.
-	cost int
 
 	mu  sync.Mutex
 	ran bool
@@ -169,10 +162,6 @@ func (s *Set) RegisterNamed(p *runtime.Plan, out io.Writer, name string) (*Sub, 
 		name = fmt.Sprintf("q%d", s.nameSeq)
 	}
 	b.name = name
-	if s.sstats == nil {
-		s.sstats = shared.ComputeStats(s.d)
-	}
-	b.cost = shared.PlanCostInt(p.Paths(), p.NeedShells(), s.sstats)
 	s.subs = append(s.subs, b)
 	s.projDirty = true
 	s.trieDirty = true
@@ -311,10 +300,9 @@ func (s *Set) Ledger() *Ledger {
 }
 
 // SetParallel overrides how shared passes execute: n >= 2 runs the
-// staged pipeline (tokenize ∥ validate ∥ dispatch) with up to n feed
-// workers sharding the plan set, 1 the sequential single-goroutine pass,
-// and 0 (the default) resolves from GOMAXPROCS (ResolveParallel). Takes
-// effect at the next Run.
+// staged pipeline (tokenize ∥ validate ∥ dispatch), 1 the sequential
+// single-goroutine pass, and 0 (the default) resolves from GOMAXPROCS
+// (ResolveParallel). Takes effect at the next Run.
 func (s *Set) SetParallel(n int) {
 	s.mu.Lock()
 	s.parallel = n
@@ -645,7 +633,6 @@ func (s *Set) RunContext(ctx context.Context, r io.Reader) error {
 			GateStall:      stall,
 			TokenRingPeak:  ps.TokenRingPeak,
 			EventRingPeak:  ps.EventRingPeak,
-			Steals:         ps.Steals,
 			TrieEvents:     ds.Events,
 			TrieDeliveries: ds.Deliveries,
 			FaultHits:      faultinj.TotalInjected() - faults0,
@@ -718,7 +705,6 @@ func (s *Set) recordPass(mt *setMetrics, obs *PassObs, sc xsax.ScanStats, ps Pas
 	mt.passBytes.Observe(sc.BytesRead)
 	mt.stallGate.Add(stall.Nanoseconds())
 	if ps.Parallel >= 2 {
-		mt.steals.Add(ps.Steals)
 		mt.stallTokenize.Add(ps.TokenizeStall.Nanoseconds())
 		mt.stallValidate.Add(ps.ValidateStall.Nanoseconds())
 		mt.stallDispatch.Add(ps.DispatchStall.Nanoseconds())
@@ -739,8 +725,8 @@ type subRun struct {
 	// hist and span (nil when telemetry/tracing are off) receive the
 	// plan's per-batch eval latency: BeginFeed stamps t0, EndFeed — which
 	// blocks until the plan's evaluator has consumed the batch —
-	// observes. One pool worker owns a plan's whole feed per batch, and
-	// the per-batch barrier orders batches, so t0 never races.
+	// observes. The dispatcher goroutine makes both calls and finishes
+	// one batch before the next, so t0 never races.
 	passID uint64
 	hist   *telemetry.Histogram
 	span   *telemetry.Span
@@ -770,17 +756,6 @@ func (rr *subRun) BeginFeed(evs []xsax.Event) {
 		rr.t0 = time.Now()
 	}
 	rr.se.BeginFeed(evs)
-}
-
-// FeedCost reports the subscription plan's cost estimate so the
-// pipelined pass can balance its evaluator worker stripes: the
-// schema-statistics expected delivered-event count stamped at
-// registration, falling back to the structural estimate.
-func (rr *subRun) FeedCost() int {
-	if c := rr.sub.cost; c > 0 {
-		return c
-	}
-	return rr.sub.plan.CostEstimate()
 }
 
 func (rr *subRun) EndFeed() (done bool, err error) {

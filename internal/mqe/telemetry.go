@@ -21,7 +21,6 @@ type setMetrics struct {
 	bytes   *telemetry.Counter
 	events  *telemetry.Counter
 	batches *telemetry.Counter
-	steals  *telemetry.Counter
 
 	passSeconds *telemetry.Histogram
 	passBytes   *telemetry.Histogram
@@ -59,8 +58,6 @@ func newSetMetrics(reg *telemetry.Registry) *setMetrics {
 			"Validated events fanned out to riding plans."),
 		batches: reg.Counter("flux_dispatch_batches_total",
 			"Event batches dispatched to riding plans."),
-		steals: reg.Counter("flux_pool_steals_total",
-			"Plan feeds claimed by an evaluator worker outside its own stripe."),
 		passSeconds: reg.Histogram("flux_pass_seconds",
 			"Wall time of one shared scan pass.",
 			telemetry.PassLatencyBuckets, telemetry.ScaleNanos),

@@ -29,9 +29,9 @@ import (
 // validated ring batch (pipelined) immediately, so the source memory can
 // recycle without waiting for evaluator acknowledgements; symbol-table
 // references stay valid for the whole stream (the table is append-only
-// between streams, see xmltok.SymTab). A flush is the standard
-// BeginFeed/EndFeed rendezvous, after which the pending batch resets and
-// its arena reuses.
+// between streams, see xmltok.SymTab). A flush is one feedAll step over
+// the members of every due class, after which the pending batches reset
+// and their arenas reuse.
 
 // DispatchMode selects how a Set fans the shared stream out to its
 // plans.
@@ -143,12 +143,12 @@ func (d *Dispatcher) runTrieSeq(r io.Reader, s *trieSink) (xsax.ScanStats, PassS
 			t1 = time.Now()
 			scanTime += t1.Sub(t0)
 		}
-		s.flushDue(nil)
+		s.flushDue()
 		if obs != nil {
 			dispTime += time.Since(t1)
 		}
 	}
-	s.finish(cause, nil)
+	s.finish(cause)
 	if obs != nil {
 		obs.Scan.AddTime(scanTime)
 		obs.Dispatch.AddTime(dispTime)
@@ -165,39 +165,7 @@ func (d *Dispatcher) runTrieSeq(r io.Reader, s *trieSink) (xsax.ScanStats, PassS
 }
 
 func (d *Dispatcher) runTriePipelined(r io.Reader, s *trieSink) (xsax.ScanStats, PassStats, error) {
-	var pa *proj.Automaton
-	if d.Proj != nil && d.ProjMode != proj.ModeOff {
-		pa = d.Proj
-	}
-	be, bb := d.BatchEvents, d.BatchBytes
-	if be <= 0 {
-		be = 4 * defaultBatchEvents
-	}
-	if bb <= 0 {
-		bb = 4 * defaultBatchBytes
-	}
-	pl := xsax.NewPipeline(r, d.DTD, xsax.PipelineConfig{
-		BatchEvents: be,
-		BatchBytes:  bb,
-		Proj:        pa,
-		ProjMode:    d.ProjMode,
-		Throttle:    d.Gate.Wait,
-		Ctx:         d.Ctx,
-	})
-	// The feed workers shard the trie's flush sets: per source batch,
-	// only the plans whose pending batches filled are woken, and the
-	// pool's cost-ordered claim/steal discipline balances them.
-	workers := d.Parallel
-	if workers > len(s.cons) {
-		workers = len(s.cons)
-	}
-	var pool *evalPool
-	if workers >= 2 {
-		pool = newEvalPool(workers)
-	} else {
-		workers = 1
-	}
-
+	pl := d.newPipeline(r)
 	obs := d.Obs
 	var scanTime, dispTime time.Duration
 	var cause error
@@ -227,28 +195,15 @@ func (d *Dispatcher) runTriePipelined(r io.Reader, s *trieSink) (xsax.ScanStats,
 		if vb.Len() > 0 {
 			batches++
 		}
-		s.flushDue(pool)
+		// Only the plans whose pending batches filled are woken.
+		s.flushDue()
 		if obs != nil {
 			dispTime += time.Since(t1)
 		}
 		pl.Recycle(vb)
 	}
-	s.finish(cause, pool)
-	var steals int64
-	if pool != nil {
-		steals = pool.close()
-	}
+	s.finish(cause)
 	sc, pps, _ := pl.Close()
-	ps := PassStats{
-		Parallel:      workers,
-		Batches:       batches,
-		Steals:        steals,
-		TokenizeStall: pps.TokStall,
-		ValidateStall: pps.ValStall,
-		DispatchStall: pps.DispStall,
-		TokenRingPeak: pps.TokRingPeak,
-		EventRingPeak: pps.ValRingPeak,
-	}
 	if obs != nil {
 		obs.Scan.AddTime(scanTime)
 		obs.Scan.AddStall(pps.DispStall)
@@ -257,6 +212,7 @@ func (d *Dispatcher) runTriePipelined(r io.Reader, s *trieSink) (xsax.ScanStats,
 		obs.Events = s.events
 	}
 	s.report(d.Disp)
+	ps := d.passStats(batches, pps)
 	if cause == io.EOF {
 		return sc, ps, nil
 	}
@@ -278,25 +234,24 @@ type trieSink struct {
 	// members maps each trie plan index (delivery class) to the consumer
 	// indices riding it; clsLive counts a class's not-yet-closed members
 	// so fully dead classes stop buffering. pend and dueMark are indexed
-	// by class, dead by consumer.
+	// by class, dead and cls (a consumer's class) by consumer.
 	members [][]int32
 	clsLive []int32
 	pend    []*xsax.Batch
 	dead    []bool
+	cls     []int32
 
 	stack   []tframe
 	due     []int32
 	dueMark []bool
 
-	// flush scratch for the pooled path: one task per live member of
-	// each due class, all members of a class sharing its event slice.
-	parTasks []Consumer
-	parEvs   [][]xsax.Event
-	parIdx   []int32
-	parCls   []int32
+	// flush scratch: the live members of every due class (tasks, with
+	// their consumer indices in taskIdx) and their feed results.
+	tasks   []Consumer
+	taskIdx []int32
+	res     []feedResult
 
 	maxEvents, maxBytes int
-	live                int
 	events, deliveries  int64
 	flushes             int64
 }
@@ -316,14 +271,17 @@ func newTrieSink(t *shared.Trie, members [][]int32, consumers []Consumer, maxEve
 		clsLive:   make([]int32, len(members)),
 		pend:      make([]*xsax.Batch, len(members)),
 		dead:      make([]bool, len(consumers)),
+		cls:       make([]int32, len(consumers)),
 		dueMark:   make([]bool, len(members)),
 		maxEvents: maxEvents,
 		maxBytes:  maxBytes,
-		live:      len(consumers),
 	}
 	for c := range s.pend {
 		s.pend[c] = xsax.GetBatch()
 		s.clsLive[c] = int32(len(members[c]))
+		for _, p := range members[c] {
+			s.cls[p] = int32(c)
+		}
 	}
 	s.stack = append(s.stack, tframe{node: t.Root(), fan: -1})
 	return s
@@ -380,86 +338,44 @@ func (s *trieSink) deliver(classes []int32, ev *xsax.Event) {
 	}
 }
 
-// flushDue feeds every due class's pending batch to its live members —
-// through the worker pool when one is available.
-func (s *trieSink) flushDue(pool *evalPool) {
+// flushDue feeds every due class's pending batch to its live members in
+// one feed step, so the plans of all due classes evaluate concurrently.
+func (s *trieSink) flushDue() {
 	if len(s.due) == 0 {
 		return
 	}
-	if pool != nil {
-		s.flushPooled(pool)
-	} else {
-		for _, c := range s.due {
-			s.flushOne(c)
+	s.tasks, s.taskIdx = s.tasks[:0], s.taskIdx[:0]
+	for _, c := range s.due {
+		for _, p := range s.members[c] {
+			if !s.dead[p] {
+				s.tasks = append(s.tasks, s.cons[p])
+				s.taskIdx = append(s.taskIdx, p)
+			}
+		}
+	}
+	s.res = feedAll(s.tasks, func(i int) []xsax.Event {
+		return s.pend[s.cls[s.taskIdx[i]]].Events
+	}, s.res)
+	s.flushes += int64(len(s.tasks))
+	for i, r := range s.res {
+		if r.done {
+			p := s.taskIdx[i]
+			s.cons[p].Close(r.err)
+			s.dead[p] = true
+			s.clsLive[s.cls[p]]--
 		}
 	}
 	for _, c := range s.due {
+		s.pend[c].Reset()
 		s.dueMark[c] = false
 	}
 	s.due = s.due[:0]
 }
 
-// closeMember retires one consumer of class c.
-func (s *trieSink) closeMember(p, c int32, cause error) {
-	s.cons[p].Close(cause)
-	s.dead[p] = true
-	s.live--
-	s.clsLive[c]--
-}
-
-func (s *trieSink) flushOne(c int32) {
-	b := s.pend[c]
-	for _, p := range s.members[c] {
-		if s.dead[p] {
-			continue
-		}
-		cons := s.cons[p]
-		cons.BeginFeed(b.Events)
-		done, _ := cons.EndFeed()
-		s.flushes++
-		if done {
-			s.closeMember(p, c, nil)
-		}
-	}
-	b.Reset()
-}
-
-func (s *trieSink) flushPooled(pool *evalPool) {
-	s.parTasks, s.parEvs = s.parTasks[:0], s.parEvs[:0]
-	s.parIdx, s.parCls = s.parIdx[:0], s.parCls[:0]
-	for _, c := range s.due {
-		evs := s.pend[c].Events
-		for _, p := range s.members[c] {
-			if s.dead[p] {
-				continue
-			}
-			s.parTasks = append(s.parTasks, s.cons[p])
-			s.parEvs = append(s.parEvs, evs)
-			s.parIdx = append(s.parIdx, p)
-			s.parCls = append(s.parCls, c)
-		}
-	}
-	if len(s.parTasks) > 0 {
-		pool.feedEach(s.parTasks, s.parEvs)
-		for k := range s.parTasks {
-			s.flushes++
-			if pool.res[k].done {
-				// A worker-side failure (panic isolation) reaches the
-				// consumer as its cause; evaluator-side terminations
-				// recorded their own error and ignore it.
-				s.closeMember(s.parIdx[k], s.parCls[k], pool.res[k].err)
-			}
-		}
-	}
-	for _, c := range s.due {
-		s.pend[c].Reset()
-	}
-}
-
 // finish flushes every remaining pending batch, closes the consumers
 // with the stream's terminal status and returns the pending batches to
 // the pool.
-func (s *trieSink) finish(cause error, pool *evalPool) {
+func (s *trieSink) finish(cause error) {
 	s.due = s.due[:0]
 	for c := range s.pend {
 		if s.clsLive[c] > 0 && s.pend[c].Len() > 0 {
@@ -467,7 +383,7 @@ func (s *trieSink) finish(cause error, pool *evalPool) {
 			s.due = append(s.due, int32(c))
 		}
 	}
-	s.flushDue(pool)
+	s.flushDue()
 	for p, cons := range s.cons {
 		if !s.dead[p] {
 			cons.Close(cause)

@@ -271,22 +271,3 @@ func TestTrieZeroAndErrorStreams(t *testing.T) {
 		t.Error("riding plan did not see the stream error")
 	}
 }
-
-// TestTrieCostStampedOnRegister: registration computes a positive
-// schema-statistics cost for every plan, and deeper-reaching plans cost
-// at least as much as shallow ones.
-func TestTrieCostStampedOnRegister(t *testing.T) {
-	d := dtd.MustParse(weakBib)
-	s := NewSet(d)
-	sub, err := s.Register(plan(t, q3, d), io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.cost < 1 {
-		t.Errorf("registration cost = %d, want >= 1", sub.cost)
-	}
-	rr := &subRun{sub: sub}
-	if got := rr.FeedCost(); got != sub.cost {
-		t.Errorf("FeedCost = %d, want stamped cost %d", got, sub.cost)
-	}
-}

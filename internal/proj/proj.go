@@ -183,34 +183,6 @@ func Union(sets ...*PathSet) *PathSet {
 // matching both needs the union of both subtrees).
 func (s *PathSet) Normalize() { normalize(s.Root) }
 
-// Size returns a structural weight of the set: its node count, with
-// whole-subtree and text requirements weighted extra. It is a cheap
-// proxy for how much of a stream a plan compiled from this set touches,
-// used to balance plans across shared-pass evaluator workers.
-func (s *PathSet) Size() int {
-	if s == nil {
-		return 0
-	}
-	return nodeSize(s.Root)
-}
-
-func nodeSize(n *PathNode) int {
-	if n == nil {
-		return 0
-	}
-	sz := 1
-	if n.All {
-		sz += 4
-	}
-	if n.Text {
-		sz++
-	}
-	for _, c := range n.Children {
-		sz += nodeSize(c)
-	}
-	return sz
-}
-
 func normalize(n *PathNode) {
 	if n == nil {
 		return

@@ -46,17 +46,6 @@ func (p *Plan) Paths() *proj.PathSet { return p.paths }
 // the stream's schema.
 func (p *Plan) DTD() *dtd.DTD { return p.d }
 
-// CostEstimate is a cheap structural proxy for the plan's per-event
-// feeding cost (the weight of its projection path-set). The shared-pass
-// evaluator pool partitions plans across workers by it when no schema
-// statistics are available (see shared.PlanCost for the informed model).
-func (p *Plan) CostEstimate() int {
-	if p.paths == nil {
-		return 1
-	}
-	return p.paths.Size()
-}
-
 // ProjAutomaton returns the plan's compiled projection automaton
 // (vocabulary form, dense name-id jump tables). The multi-query dispatch
 // trie is the product of these automata across all registered plans.

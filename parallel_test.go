@@ -2,8 +2,8 @@ package fluxquery
 
 // Differential tests of the pipelined pass: by default on a multi-core
 // host, or with Options.Parallel (StreamSet.SetParallel) >= 2, the
-// tokenizer, validator and dispatcher run on separate goroutines connected by bounded batch rings, and the plan set
-// is sharded across feed workers — but the output must stay byte-
+// tokenizer, validator and dispatcher run on separate goroutines
+// connected by bounded batch rings — but the output must stay byte-
 // identical to the sequential pass on every corpus query, and error
 // semantics (validity errors, tag imbalance, projection trade-offs)
 // must be preserved event-for-event. These are the tentpole's primary
@@ -50,8 +50,6 @@ func TestParallelDefault(t *testing.T) {
 				t.Errorf("Options{}: tokenize/validate stage spans = %v, want %v", got, pipelined)
 			}
 
-			// One more plan than feed workers, so the pool is not
-			// capped by the plan count.
 			set := NewStreamSet(d)
 			for i := 0; i <= procs; i++ {
 				if _, err := set.Register(p, io.Discard); err != nil {
@@ -69,6 +67,40 @@ func TestParallelDefault(t *testing.T) {
 				t.Errorf("fresh StreamSet: LastPass().Parallel = %d, want %d", got, want)
 			}
 		})
+	}
+}
+
+// TestParallelOnePlanReportsPipeline: a pipelined pass riding a single
+// plan reports its Parallel setting and emits the pipeline stage spans,
+// exactly as a pass with many plans does.
+func TestParallelOnePlanReportsPipeline(t *testing.T) {
+	c := workload.ByName("xmp-q3-weak")
+	var doc bytes.Buffer
+	if err := c.Gen(&doc, 20_000, 1); err != nil {
+		t.Fatal(err)
+	}
+	d, err := ParseDTD(c.DTD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dispatch := range []Dispatch{DispatchFanout, DispatchTrie} {
+		set := NewStreamSet(d)
+		set.SetParallel(2)
+		set.SetDispatch(dispatch)
+		set.SetTracing(true, "")
+		if _, err := set.Register(MustCompile(c.Query, c.DTD, Options{}), io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if err := set.Run(bytes.NewReader(doc.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		if ps := set.LastPass(); ps.Parallel != 2 || ps.Batches == 0 {
+			t.Errorf("dispatch %v: LastPass() = %+v, want Parallel 2 and batches", dispatch, ps)
+		}
+		tr := set.LastTrace()
+		if tr == nil || !hasSpan(tr.Root, "tokenize") || !hasSpan(tr.Root, "validate") {
+			t.Errorf("dispatch %v: trace lacks tokenize/validate stage spans", dispatch)
+		}
 	}
 }
 
