@@ -350,10 +350,10 @@ type Options struct {
 	// separate goroutines connected by bounded batch rings, so the scan
 	// overlaps the evaluator; the sequential pass runs them on one
 	// goroutine. 0, the default, pipelines when GOMAXPROCS >= 2 and runs
-	// sequentially on one P; 1 pins the sequential pass and any n >= 2
-	// the pipeline (the number sets no worker count). Output is
-	// byte-identical either way. StreamSet passes have their own
-	// override, StreamSet.SetParallel.
+	// sequentially on one P; 1 (or any negative n) pins the sequential
+	// pass and any n >= 2 the pipeline (the number sets no worker
+	// count). Output is byte-identical either way. StreamSet passes have
+	// their own override, StreamSet.SetParallel.
 	Parallel int
 	// Telemetry, when non-nil, publishes the plan's execution metrics
 	// (pass counts, latency, input bytes and events) on the registry.
@@ -662,11 +662,7 @@ func (p *Plan) execute(ctx context.Context, r io.Reader, w io.Writer, tr *teleme
 	var err error
 	switch p.opts.Engine {
 	case EngineFlux:
-		if mqe.ResolveParallel(p.opts.Parallel) >= 2 {
-			rst, err = p.phys.RunManagedParallelTraceContext(ctx, r, w, p.bufs, tr)
-		} else {
-			rst, err = p.phys.RunManagedTraceContext(ctx, r, w, p.bufs, tr)
-		}
+		rst, err = p.executeFlux(ctx, r, w, tr)
 	case EngineProjection:
 		rst, err = baseline.RunProjection(p.optimized, p.d, r, w)
 	case EngineNaive:
@@ -690,6 +686,95 @@ func (p *Plan) execute(ctx context.Context, r io.Reader, w io.Writer, tr *teleme
 		pm.passSeconds.Observe(wall.Nanoseconds())
 	}
 	return st, err
+}
+
+// executeFlux runs the plan as the one consumer of an mqe.Dispatcher
+// pass — the same pass loop a StreamSet runs over many plans.
+func (p *Plan) executeFlux(ctx context.Context, r io.Reader, w io.Writer, tr *telemetry.Trace) (*runtime.Stats, error) {
+	// A Dispatcher pass scans to the end of the stream; the plan's
+	// consumer cancels this context once the plan has terminated, so the
+	// pass stops reading. The pass then ends with context.Canceled, which
+	// is never returned: the plan's own error is.
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, stop := context.WithCancel(ctx)
+	defer stop()
+	gate := p.bufs.NewGate()
+	gate.Bind(ctx)
+	acct := gate.NewAccount()
+	c := &planRun{se: p.phys.NewStepExecBudgeted(w, acct), acct: acct, stop: stop}
+	passID := telemetry.NextPassID()
+	var obs *mqe.PassObs
+	if tr != nil {
+		passID = tr.PassID
+		obs = &mqe.PassObs{Scan: tr.Span().Child("scan"), Dispatch: tr.Span().Child("eval")}
+	}
+	disp := &mqe.Dispatcher{
+		DTD:      p.d,
+		Proj:     p.phys.ProjAutomaton(),
+		ProjMode: p.phys.ProjMode(),
+		// One plan has no per-plan rendezvous to amortize: the pipelined
+		// pass's 4x default batches, tuned for many plans, slow joins.
+		BatchEvents: 256,
+		BatchBytes:  32 << 10,
+		Gate:        gate,
+		Parallel:    mqe.ResolveParallel(p.opts.Parallel),
+		Obs:         obs,
+		Ctx:         ctx,
+	}
+	sc, ps, _ := disp.RunScanPass(r, []mqe.Consumer{c})
+	stall := gate.Stall()
+	gate.Close()
+	if st := c.st; st != nil {
+		st.ScanEventsDelivered = sc.EventsDelivered
+		st.ScanEventsSkipped = sc.EventsSkipped
+		st.ScanSubtreesSkipped = sc.SubtreesSkipped
+		st.ScanBytesSkipped = sc.BytesSkipped
+		st.ScanBytesRead = sc.BytesRead
+		st.PassID = passID
+		st.BudgetStall = stall
+	}
+	if tr != nil {
+		obs.StampTrace(tr, sc, ps, stall)
+	}
+	return c.st, c.err
+}
+
+// planRun is Execute's one consumer: the plan's StepExec and budget
+// account, and the cancel that stops the pass once the plan terminates.
+type planRun struct {
+	se   *runtime.StepExec
+	acct *bufmgr.Account
+	stop context.CancelFunc
+	st   *runtime.Stats
+	err  error
+}
+
+func (c *planRun) BeginFeed(evs []xsax.Event) { c.se.BeginFeed(evs) }
+
+func (c *planRun) EndFeed() (bool, error) {
+	done, err := c.se.EndFeed()
+	if done {
+		c.stop()
+	}
+	return done, err
+}
+
+func (c *planRun) Close(cause error) {
+	if c.se == nil {
+		return
+	}
+	c.st, c.err = c.se.Close(cause)
+	c.se = nil
+	if c.acct != nil {
+		as := c.acct.Close()
+		if c.st != nil {
+			c.st.PeakHeapBufferBytes = as.PeakBytes
+			c.st.SpilledBytes = as.SpilledBytes
+			c.st.RehydratedBytes = as.RehydratedBytes
+		}
+	}
 }
 
 // statsFrom converts the runtime's counters into the public Stats.
@@ -803,9 +888,10 @@ func (s *StreamSet) SetBuffers(b *BufferManager) {
 // runs the staged pipeline — tokenize, validate and dispatch on separate
 // goroutines connected by bounded batch rings, each plan evaluating on
 // its own goroutine; the number sets no worker count. 1 pins the
-// sequential single-goroutine pass. 0, the default, runs the pipeline
-// when GOMAXPROCS >= 2 and the sequential pass on one P. Per-plan
-// outputs are byte-identical either way. Takes effect at the next Run.
+// sequential single-goroutine pass, and so does a negative n, which the
+// pass reports as 1. 0, the default, runs the pipeline when GOMAXPROCS
+// >= 2 and the sequential pass on one P. Per-plan outputs are
+// byte-identical either way. Takes effect at the next Run.
 func (s *StreamSet) SetParallel(n int) { s.set.SetParallel(n) }
 
 // Dispatch selects how a StreamSet's shared passes fan the validated
@@ -1095,14 +1181,15 @@ func (s *StreamSet) SetLedger(q *QueryLedger) {
 // Ledger returns the installed cost ledger (nil when none).
 func (s *StreamSet) Ledger() *QueryLedger { return s.led }
 
-// PassStats reports the pipeline metrics of a pipelined shared pass (all
-// zeros after sequential passes).
+// PassStats reports the pipeline metrics of a shared pass. Apart from
+// Batches, all are zero after sequential passes.
 type PassStats struct {
 	// Parallel is the pass's resolved Parallel setting (>= 2) when it ran
 	// pipelined, whatever the number of riding plans; 0 when it ran
 	// sequentially.
 	Parallel int
-	// Batches counts validated event batches fanned out to the plans.
+	// Batches counts the non-empty validated event batches the pass took
+	// from its scan, sequential or pipelined, fanout or trie dispatch.
 	Batches int64
 	// TokenizeStall, ValidateStall and DispatchStall are the per-stage
 	// blocked times: the tokenizer on a full token ring (validation was

@@ -4,6 +4,7 @@ package fluxquery
 // truncation) on broken inputs and broken outputs.
 
 import (
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -51,6 +52,49 @@ func TestWriterFailureSurfaces(t *testing.T) {
 		_, err := p.Execute(strings.NewReader(faultDoc), &failingWriter{n: 10})
 		if err == nil {
 			t.Errorf("%v: writer failure not reported", e)
+		}
+	}
+}
+
+// endlessBib serves limit bytes of a valid, never-closed <bib> document
+// and counts the bytes it served.
+type endlessBib struct{ served, limit int }
+
+const endlessBook = `<book year="1"><title>Title</title><author>Author</author></book>`
+
+func (e *endlessBib) Read(p []byte) (int, error) {
+	if e.served >= e.limit {
+		return 0, io.EOF
+	}
+	n := 0
+	for n < len(p) && e.served < e.limit {
+		var k int
+		if e.served < len("<bib>") {
+			k = copy(p[n:], "<bib>"[e.served:])
+		} else {
+			k = copy(p[n:], endlessBook[(e.served-len("<bib>"))%len(endlessBook):])
+		}
+		n += k
+		e.served += k
+	}
+	return n, nil
+}
+
+// TestWriterFailureStopsExecute: a plan whose output writer fails stops
+// at the next batch boundary, so its pass stops reading, and Execute
+// returns the writer's error — in the sequential and the pipelined pass
+// alike. Before that check the plan evaluated, and the pass read, to the
+// end of the stream.
+func TestWriterFailureStopsExecute(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		p := MustCompile(paperQuery, xmlgen.WeakBibDTD, Options{Parallel: par})
+		in := &endlessBib{limit: 64 << 20}
+		_, err := p.Execute(in, &failingWriter{})
+		if !errors.Is(err, io.ErrClosedPipe) {
+			t.Errorf("parallel=%d: error = %v, want the writer's %v", par, err, io.ErrClosedPipe)
+		}
+		if in.served >= 1<<20 {
+			t.Errorf("parallel=%d: read %d bytes after the writer failed, want < 1 MB", par, in.served)
 		}
 	}
 }

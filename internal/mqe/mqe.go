@@ -36,7 +36,8 @@
 // dispatcher's single batch copy replaces the N per-plan scans, and each
 // plan's own buffering discipline is unchanged from single-query
 // execution — which is why Set output is byte-identical to running each
-// plan with Plan.Run.
+// plan alone, and why a single-plan execution (fluxquery's Plan.Execute)
+// is simply a one-consumer pass of the same Dispatcher.
 package mqe
 
 import (
@@ -75,7 +76,7 @@ type Dispatcher struct {
 	// DTD validates the stream; every event carries names interned here.
 	DTD *dtd.DTD
 	// BatchEvents and BatchBytes bound a batch (defaults 256 events,
-	// 32 KiB of payload).
+	// 32 KiB of payload; a pipelined pass scans 4x that per batch).
 	BatchEvents int
 	BatchBytes  int
 	// Proj, when non-nil, projects the shared pass: only events relevant
@@ -95,9 +96,9 @@ type Dispatcher struct {
 	Gate *bufmgr.Gate
 	// Parallel, when >= 2, runs passes in pipelined form: tokenize,
 	// validate and dispatch on separate goroutines connected by bounded
-	// batch rings (see parallel.go). The value sets no worker count: the
-	// plans already evaluate on their own goroutines. 0 or 1 is the
-	// sequential pass.
+	// batch rings (xsax.Pipeline). The value sets no worker count: the
+	// plans already evaluate on their own goroutines. Any value below 2
+	// is the sequential pass.
 	Parallel int
 	// Trie, when non-nil, replaces whole-batch fanout with trie-routed
 	// dispatch (see trie.go): each event resolves one trie node and is
@@ -134,97 +135,225 @@ func (d *Dispatcher) ctxErr() error {
 	return d.Ctx.Err()
 }
 
-// Default batch bounds; see runtime's feed batch sizing for rationale.
+// Default batch bounds: enough events to amortize the per-batch
+// rendezvous (one channel round trip per riding plan) to noise, small
+// enough that the owned-copy arena stays cache-resident. A pipelined
+// pass scans 4x these per batch by default (see newSource).
 const (
 	defaultBatchEvents = 256
 	defaultBatchBytes  = 32 << 10
 )
 
-// Run tokenizes and validates r exactly once, fanning every event out to
-// consumers. A consumer that terminates early is detached and the pass
-// continues for the others; the stream is always scanned to its end (or
-// first stream error), so a Run over zero consumers is a validation pass.
-// Run returns the stream's error — nil on a well-formed, valid document —
-// regardless of consumer failures, which are reported through each
-// consumer's Close.
-func (d *Dispatcher) Run(r io.Reader, consumers []Consumer) error {
-	_, _, err := d.RunScanPass(r, consumers)
-	return err
-}
-
-// RunScan is the sequential shared pass (Parallel is ignored), reporting
-// the pass's projection scan statistics (all zeros when Proj is nil).
-func (d *Dispatcher) RunScan(r io.Reader, consumers []Consumer) (xsax.ScanStats, error) {
-	maxEvents := d.BatchEvents
-	if maxEvents <= 0 {
-		maxEvents = defaultBatchEvents
-	}
-	maxBytes := d.BatchBytes
-	if maxBytes <= 0 {
-		maxBytes = defaultBatchBytes
-	}
-
-	f := newFanout(consumers)
-	xr := xsax.GetReader(r, d.DTD)
-	if d.Proj != nil && d.ProjMode != proj.ModeOff {
-		xr.SetProjection(d.Proj, d.ProjMode)
-	}
-	b := xsax.GetBatch()
+// RunScanPass tokenizes and validates r exactly once, handing every
+// validated batch to consumers: the whole batch to every live consumer,
+// or trie-routed per-class batches when Trie is set. With Parallel >= 2
+// the scan runs pipelined (xsax.Pipeline), otherwise on the calling
+// goroutine. A consumer that terminates early is detached and the pass
+// continues for the others; the stream is scanned to its end, its first
+// error or cancellation, so a pass over zero consumers is a validation
+// pass. The returned error is the stream's — nil on a well-formed, valid
+// document — regardless of consumer failures, which each consumer
+// receives through its Close. The ScanStats report the pass's
+// projection (all zeros when Proj is nil).
+//
+// This is the engine's one pass loop: Set runs it over the registered
+// plans, and a single-plan execution is a one-consumer pass of it.
+func (d *Dispatcher) RunScanPass(r io.Reader, consumers []Consumer) (xsax.ScanStats, PassStats, error) {
+	src := d.newSource(r)
+	snk := d.newSink(consumers)
 	obs := d.Obs
 	var scanTime, dispTime time.Duration
 	var batches, events int64
 	var cause error
 	for cause == nil {
-		if err := d.ctxErr(); err != nil {
-			cause = err
+		if cause = d.ctxErr(); cause == nil {
+			cause = src.throttle()
+		}
+		if cause != nil {
 			break
 		}
-		if err := d.Gate.Wait(); err != nil {
-			cause = err
-			break
-		}
-		b.Reset()
 		var t0 time.Time
 		if obs != nil {
 			t0 = time.Now()
 		}
-		for b.Len() < maxEvents && b.ArenaBytes() < maxBytes {
-			ev, err := xr.NextEvent()
-			if err != nil {
-				cause = err
-				break
-			}
-			b.Append(ev)
-		}
+		var evs []xsax.Event
+		evs, cause = src.next()
 		var t1 time.Time
 		if obs != nil {
 			t1 = time.Now()
 			scanTime += t1.Sub(t0)
 		}
-		if b.Len() == 0 {
-			continue
-		}
-		// The plans evaluate concurrently; the batch arena is reused only
-		// after the slowest acknowledgement.
-		f.feed(b.Events)
-		if obs != nil {
-			dispTime += time.Since(t1)
+		if len(evs) > 0 {
 			batches++
-			events += int64(b.Len())
+			events += int64(len(evs))
+			// The plans evaluate concurrently; the batch memory is reused
+			// only after the slowest acknowledgement.
+			snk.feed(evs)
+			if obs != nil {
+				dispTime += time.Since(t1)
+			}
 		}
+		src.recycle()
 	}
-	f.close(cause)
+	// Close consumers (releasing their budget accounts) before joining
+	// the pipeline: the tokenizer stage may be parked in a gate wait
+	// that only drains when accounts release.
+	snk.close(cause)
+	sc, ps := src.close()
+	ps.Batches = batches
 	if obs != nil {
+		// In a pipelined pass the "scan" time is the wait on the
+		// validated-batch ring — the stage goroutines overlap it, so child
+		// spans there describe concurrent work, not a partition of the
+		// wall clock (the sequential pass's spans do partition it).
 		obs.Scan.AddTime(scanTime)
+		obs.Scan.AddStall(ps.DispatchStall)
 		obs.Dispatch.AddTime(dispTime)
 		obs.Batches = batches
 		obs.Events = events
 	}
-	sc := xr.ScanStats()
-	xsax.PutBatch(b)
-	xsax.PutReader(xr)
 	if cause == io.EOF {
-		return sc, nil
+		cause = nil
 	}
-	return sc, cause
+	return sc, ps, cause
+}
+
+// batchSource supplies a pass's validated batches: a pooled reader
+// filling one owned batch per call (sequential), or the validated-batch
+// ring of an xsax.Pipeline (pipelined).
+type batchSource struct {
+	// Sequential: the gate is waited on before each fill.
+	gate                *bufmgr.Gate
+	xr                  *xsax.Reader
+	b                   *xsax.Batch
+	maxEvents, maxBytes int
+	// Pipelined: vb is the ring batch handed out by the last next.
+	pl       *xsax.Pipeline
+	vb       *xsax.Batch
+	parallel int
+}
+
+// newSource opens the pass's batch source. Pipelined batches default to
+// 4x the sequential size: every batch pays two ring hand-offs plus one
+// feed rendezvous per plan, so larger batches amortize the coordination
+// without changing delivery semantics. Explicit Dispatcher sizes win.
+func (d *Dispatcher) newSource(r io.Reader) *batchSource {
+	var pa *proj.Automaton
+	if d.ProjMode != proj.ModeOff {
+		pa = d.Proj
+	}
+	be, bb, scale := d.BatchEvents, d.BatchBytes, 1
+	if d.Parallel >= 2 {
+		scale = 4
+	}
+	if be <= 0 {
+		be = scale * defaultBatchEvents
+	}
+	if bb <= 0 {
+		bb = scale * defaultBatchBytes
+	}
+	if d.Parallel >= 2 {
+		return &batchSource{parallel: d.Parallel, pl: xsax.NewPipeline(r, d.DTD, xsax.PipelineConfig{
+			BatchEvents: be,
+			BatchBytes:  bb,
+			Proj:        pa,
+			ProjMode:    d.ProjMode,
+			// The backpressure point moves into the tokenizer stage.
+			Throttle: d.Gate.Wait,
+			Ctx:      d.Ctx,
+		})}
+	}
+	xr := xsax.GetReader(r, d.DTD)
+	if pa != nil {
+		xr.SetProjection(pa, d.ProjMode)
+	}
+	return &batchSource{gate: d.Gate, xr: xr, b: xsax.GetBatch(), maxEvents: be, maxBytes: bb}
+}
+
+// throttle is the sequential pass's backpressure point: under
+// bufmgr.PolicyBackpressure the gate blocks the scan while the process
+// is over budget and another pass can still drain; a bound gate also
+// unparks on cancellation. A pipelined pass throttles in its tokenizer
+// stage instead.
+func (s *batchSource) throttle() error {
+	if s.pl != nil {
+		return nil
+	}
+	return s.gate.Wait()
+}
+
+// next returns the next batch of validated events, with the stream's
+// terminal status once it ends (io.EOF for a clean end). A sequential
+// source may return a last, partial batch alongside the error. The
+// events are valid until recycle.
+func (s *batchSource) next() ([]xsax.Event, error) {
+	if s.pl != nil {
+		vb, err := s.pl.Next()
+		if err != nil {
+			return nil, err
+		}
+		s.vb = vb
+		return vb.Events, nil
+	}
+	s.b.Reset()
+	for s.b.Len() < s.maxEvents && s.b.ArenaBytes() < s.maxBytes {
+		ev, err := s.xr.NextEvent()
+		if err != nil {
+			return s.b.Events, err
+		}
+		s.b.Append(ev)
+	}
+	return s.b.Events, nil
+}
+
+// recycle releases the batch the last next returned.
+func (s *batchSource) recycle() {
+	if s.vb != nil {
+		s.pl.Recycle(s.vb)
+		s.vb = nil
+	}
+}
+
+// close ends the source, returning the pass's scan statistics and, for a
+// pipelined pass, its stage metrics.
+func (s *batchSource) close() (xsax.ScanStats, PassStats) {
+	if s.pl != nil {
+		sc, pps, _ := s.pl.Close()
+		return sc, PassStats{
+			Parallel:      s.parallel,
+			TokenizeStall: pps.TokStall,
+			ValidateStall: pps.ValStall,
+			DispatchStall: pps.DispStall,
+			TokenRingPeak: pps.TokRingPeak,
+			EventRingPeak: pps.ValRingPeak,
+		}
+	}
+	sc := s.xr.ScanStats()
+	xsax.PutBatch(s.b)
+	xsax.PutReader(s.xr)
+	return sc, PassStats{}
+}
+
+// sink is a pass's delivery side: whole-batch fanout or trie routing.
+type sink interface {
+	// feed delivers one validated batch; its memory is reused once feed
+	// returns.
+	feed(evs []xsax.Event)
+	// close delivers the stream's terminal status to every consumer
+	// still live.
+	close(cause error)
+}
+
+func (d *Dispatcher) newSink(consumers []Consumer) sink {
+	if d.Trie == nil {
+		return newFanout(consumers)
+	}
+	be, bb := d.BatchEvents, d.BatchBytes
+	if be <= 0 {
+		be = defaultBatchEvents
+	}
+	if bb <= 0 {
+		bb = defaultBatchBytes
+	}
+	return newTrieSink(d.Trie, d.Members, consumers, be, bb, d.Disp)
 }

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"fluxquery/internal/baseline"
 	"fluxquery/internal/core"
 	"fluxquery/internal/dtd"
 	"fluxquery/internal/nf"
@@ -44,6 +46,38 @@ func plan(t *testing.T, src string, d *dtd.DTD) *runtime.Plan {
 	return p
 }
 
+// naive evaluates src over doc with the in-memory reference engine.
+func naive(t *testing.T, src string, d *dtd.DTD, doc string) string {
+	t.Helper()
+	n, err := nf.Normalize(xquery.MustParse(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if _, err := baseline.RunNaive(n, d, strings.NewReader(doc), &out); err != nil {
+		t.Fatal(err)
+	}
+	return out.String()
+}
+
+// alone runs src as the only plan of a shared pass over doc.
+func alone(t *testing.T, src string, d *dtd.DTD, doc string) runtime.Stats {
+	t.Helper()
+	s := NewSet(d)
+	sub, err := s.Register(plan(t, src, d), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(strings.NewReader(doc)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := sub.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func bibDoc(books int) string {
 	var b strings.Builder
 	b.WriteString("<bib>")
@@ -74,15 +108,11 @@ func TestSetMatchesSingleQueryRuns(t *testing.T) {
 		t.Fatalf("shared run: %v", err)
 	}
 	for i, q := range queries {
-		var want strings.Builder
-		wantSt, err := plan(t, q, d).Run(strings.NewReader(doc), &want)
-		if err != nil {
-			t.Fatal(err)
+		if want := naive(t, q, d, doc); outs[i].String() != want {
+			t.Errorf("query %d: shared output differs from the reference engine\nshared: %q\nnaive:  %q",
+				i, outs[i].String(), want)
 		}
-		if outs[i].String() != want.String() {
-			t.Errorf("query %d: shared output differs from single-query run\nshared: %q\nsingle: %q",
-				i, outs[i].String(), want.String())
-		}
+		wantSt := alone(t, q, d, doc)
 		st, err := subs[i].Result()
 		if err != nil {
 			t.Errorf("query %d: result error: %v", i, err)
@@ -97,7 +127,7 @@ func TestSetMatchesSingleQueryRuns(t *testing.T) {
 			st.BufferedNodes != wantSt.BufferedNodes ||
 			st.OutputBytes != wantSt.OutputBytes ||
 			st.HandlerFirings != wantSt.HandlerFirings {
-			t.Errorf("query %d: stats differ: shared %+v single %+v", i, st, *wantSt)
+			t.Errorf("query %d: stats differ: shared %+v single %+v", i, st, wantSt)
 		}
 	}
 	if sc, passes := s.LastScan(); passes != 1 || sc.EventsDelivered == 0 {
@@ -172,14 +202,16 @@ func TestConsumerFailureIsIsolated(t *testing.T) {
 	if _, err := bad.Result(); err == nil {
 		t.Error("failing writer not reported on its sub")
 	}
-	if _, err := good.Result(); err != nil {
+	goodSt, err := good.Result()
+	if err != nil {
 		t.Errorf("healthy sub disturbed by failing neighbour: %v", err)
 	}
-	var want strings.Builder
-	if _, err := plan(t, q3, d).Run(strings.NewReader(doc), &want); err != nil {
-		t.Fatal(err)
+	// The failed writer stops its plan mid-stream, not at the end.
+	if badSt, _ := bad.Result(); badSt.Events >= goodSt.Events {
+		t.Errorf("failed plan consumed %d events, healthy plan %d: failure did not stop it",
+			badSt.Events, goodSt.Events)
 	}
-	if out.String() != want.String() {
+	if out.String() != naive(t, q3, d, doc) {
 		t.Error("healthy sub output corrupted by failing neighbour")
 	}
 }
@@ -293,7 +325,7 @@ func TestDispatcherBatchOwnership(t *testing.T) {
 		got = append(got, fmt.Sprintf("%v:%s:%s", ev.Kind, ev.Name, ev.Data))
 	}}
 	disp := &Dispatcher{DTD: d, BatchEvents: 7} // force many small batches
-	if err := disp.Run(strings.NewReader(doc), []Consumer{rec}); err != nil {
+	if _, _, err := disp.RunScanPass(strings.NewReader(doc), []Consumer{rec}); err != nil {
 		t.Fatal(err)
 	}
 	var want []string
@@ -348,10 +380,7 @@ func TestConcurrentRunsAreSerialized(t *testing.T) {
 	if _, err := s.Register(plan(t, q3, d), &out); err != nil {
 		t.Fatal(err)
 	}
-	var want strings.Builder
-	if _, err := plan(t, q3, d).Run(strings.NewReader(doc), &want); err != nil {
-		t.Fatal(err)
-	}
+	want := naive(t, q3, d, doc)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -366,7 +395,26 @@ func TestConcurrentRunsAreSerialized(t *testing.T) {
 	}
 	wg.Wait()
 	// 20 serialized passes appended 20 intact copies of the result.
-	if got := out.String(); got != strings.Repeat(want.String(), 20) {
+	if got := out.String(); got != strings.Repeat(want, 20) {
 		t.Errorf("interleaved or corrupted output across concurrent runs (%d bytes)", len(got))
+	}
+}
+
+// TestResolveParallel: 0 follows GOMAXPROCS, explicit settings are kept,
+// and a negative setting is the sequential pass.
+func TestResolveParallel(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(procs))
+		auto := 1
+		if procs >= 2 {
+			auto = procs
+		}
+		for _, c := range []struct{ in, want int }{
+			{0, auto}, {1, 1}, {2, 2}, {8, 8}, {-1, 1}, {-8, 1},
+		} {
+			if got := ResolveParallel(c.in); got != c.want {
+				t.Errorf("GOMAXPROCS %d: ResolveParallel(%d) = %d, want %d", procs, c.in, got, c.want)
+			}
+		}
 	}
 }

@@ -146,7 +146,7 @@ func TestDispatcherContract(t *testing.T) {
 			for _, doc := range []string{"valid", "truncated"} {
 				t.Run(fmt.Sprintf("parallel=%d/%v/%s", par, mode, doc), func(t *testing.T) {
 					src := docs[doc]
-					streamErr := (&Dispatcher{DTD: d}).Run(strings.NewReader(src), nil)
+					_, _, streamErr := (&Dispatcher{DTD: d}).RunScanPass(strings.NewReader(src), nil)
 					if (streamErr == nil) != (doc == "valid") {
 						t.Fatalf("validation pass error = %v", streamErr)
 					}
@@ -162,7 +162,7 @@ func TestDispatcherContract(t *testing.T) {
 						}
 						disp.Trie = shared.Build(reqs, len(d.IDNames()))
 					}
-					err := disp.Run(strings.NewReader(src), cons)
+					_, _, err := disp.RunScanPass(strings.NewReader(src), cons)
 
 					if fmt.Sprint(err) != fmt.Sprint(streamErr) {
 						t.Errorf("pass error = %v, want the stream's %v", err, streamErr)

@@ -2,32 +2,34 @@ package mqe
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"slices"
 	"time"
 
-	"fluxquery/internal/proj"
 	"fluxquery/internal/xsax"
 )
 
-// This file implements the pipelined form of the shared pass and the
-// feed step every pass shares. The tokenize and validate stages move onto
-// their own goroutines (see xsax.Pipeline); this dispatcher becomes the
-// third stage, pulling validated batches off the event ring and handing
-// each one to the registered plans through feedAll. Every plan already
-// evaluates on its own goroutine, so the dispatcher only begins each
-// plan's feed and then collects the acknowledgements: a plan never sees
-// batch k+1 before it acknowledged batch k, and the batch arena recycles
-// only after the slowest plan.
+// This file holds the Parallel setting's resolution and the feed step
+// every pass shares. In a pipelined pass the tokenize and validate stages
+// run on their own goroutines (see xsax.Pipeline) and the pass loop
+// becomes the third stage, pulling validated batches off the event ring;
+// sequential or pipelined, each batch reaches the plans through feedAll.
+// Every plan already evaluates on its own goroutine, so the loop only
+// begins each plan's feed and then collects the acknowledgements: a plan
+// never sees batch k+1 before it acknowledged batch k, and the batch
+// arena recycles only after the slowest plan.
 
 // ResolveParallel is the one place a Parallel setting (Options.Parallel,
 // Set.SetParallel) turns into the pass that runs. 0, the default, picks
 // the pipelined pass (reported as GOMAXPROCS) when the process has two or
 // more Ps and the sequential pass (1) when it has one: a forced pipeline
-// on one P only adds ring hand-offs. Any other value is kept: 1 pins the
-// sequential pass, n >= 2 the pipeline; the number sets no worker count.
+// on one P only adds ring hand-offs. 1 pins the sequential pass and any
+// n >= 2 the pipeline (the number sets no worker count); a negative n is
+// the sequential pass and resolves to 1.
 func ResolveParallel(n int) int {
+	if n < 0 {
+		return 1
+	}
 	if n != 0 {
 		return n
 	}
@@ -37,13 +39,15 @@ func ResolveParallel(n int) int {
 	return 1
 }
 
-// PassStats reports a pipelined shared pass's execution metrics; all
-// zeros for sequential passes.
+// PassStats reports a shared pass's execution metrics. Apart from
+// Batches they describe the pipeline and are zero for sequential passes.
 type PassStats struct {
 	// Parallel is the pass's resolved Parallel setting (>= 2) when it ran
 	// pipelined, 0 when it ran sequentially.
 	Parallel int
-	// Batches counts validated batches fanned out.
+	// Batches counts the non-empty validated batches the pass loop took
+	// from its source, in every pass kind, whether or not a consumer was
+	// still live. Trie flushes are counted in DispatchStats.Flushes.
 	Batches int64
 	// TokenizeStall, ValidateStall and DispatchStall are the per-stage
 	// blocked times: the tokenizer waiting on a full token ring, the
@@ -52,119 +56,6 @@ type PassStats struct {
 	TokenizeStall, ValidateStall, DispatchStall time.Duration
 	// TokenRingPeak and EventRingPeak are high-water ring occupancies.
 	TokenRingPeak, EventRingPeak int
-}
-
-// RunScanPass is RunScan, additionally reporting pipeline metrics. With
-// Parallel >= 2 the pass runs in pipelined form; otherwise it is the
-// sequential single-goroutine pass and the PassStats are zero.
-func (d *Dispatcher) RunScanPass(r io.Reader, consumers []Consumer) (xsax.ScanStats, PassStats, error) {
-	if d.Trie != nil {
-		return d.runTrie(r, consumers)
-	}
-	if d.Parallel >= 2 {
-		return d.runPipelined(r, consumers)
-	}
-	sc, err := d.RunScan(r, consumers)
-	return sc, PassStats{}, err
-}
-
-// newPipeline starts the tokenize and validate stages of a pipelined
-// pass. Pipelined batches default to 4x the sequential size: every batch
-// pays two ring hand-offs plus one feed rendezvous per plan, so larger
-// batches amortize the coordination without changing delivery
-// semantics. Explicit Dispatcher sizes still win.
-func (d *Dispatcher) newPipeline(r io.Reader) *xsax.Pipeline {
-	var pa *proj.Automaton
-	if d.Proj != nil && d.ProjMode != proj.ModeOff {
-		pa = d.Proj
-	}
-	be, bb := d.BatchEvents, d.BatchBytes
-	if be <= 0 {
-		be = 4 * defaultBatchEvents
-	}
-	if bb <= 0 {
-		bb = 4 * defaultBatchBytes
-	}
-	return xsax.NewPipeline(r, d.DTD, xsax.PipelineConfig{
-		BatchEvents: be,
-		BatchBytes:  bb,
-		Proj:        pa,
-		ProjMode:    d.ProjMode,
-		Throttle:    d.Gate.Wait,
-		Ctx:         d.Ctx,
-	})
-}
-
-// passStats is the PassStats of a pipelined pass that fanned out batches.
-func (d *Dispatcher) passStats(batches int64, pps xsax.PipeStats) PassStats {
-	return PassStats{
-		Parallel:      d.Parallel,
-		Batches:       batches,
-		TokenizeStall: pps.TokStall,
-		ValidateStall: pps.ValStall,
-		DispatchStall: pps.DispStall,
-		TokenRingPeak: pps.TokRingPeak,
-		EventRingPeak: pps.ValRingPeak,
-	}
-}
-
-func (d *Dispatcher) runPipelined(r io.Reader, consumers []Consumer) (xsax.ScanStats, PassStats, error) {
-	f := newFanout(consumers)
-	pl := d.newPipeline(r)
-	obs := d.Obs
-	var scanTime, dispTime time.Duration
-	var cause error
-	var batches, events int64
-	for cause == nil {
-		if err := d.ctxErr(); err != nil {
-			cause = err
-			break
-		}
-		var t0 time.Time
-		if obs != nil {
-			t0 = time.Now()
-		}
-		vb, err := pl.Next()
-		var t1 time.Time
-		if obs != nil {
-			t1 = time.Now()
-			scanTime += t1.Sub(t0)
-		}
-		if err != nil {
-			cause = err
-			break
-		}
-		if vb.Len() > 0 && len(f.live) > 0 {
-			batches++
-			events += int64(vb.Len())
-			f.feed(vb.Events)
-			if obs != nil {
-				dispTime += time.Since(t1)
-			}
-		}
-		pl.Recycle(vb)
-	}
-	// Close consumers (releasing their budget accounts) before joining
-	// the pipeline: the tokenizer stage may be parked in a gate wait
-	// that only drains when accounts release.
-	f.close(cause)
-	sc, pps, _ := pl.Close()
-	if obs != nil {
-		// In a pipelined pass the dispatcher's "scan" time is its wait on
-		// the validated-batch ring — the stage goroutines overlap it, so
-		// child spans here describe concurrent work, not a partition of
-		// the wall clock (the sequential pass's spans do partition it).
-		obs.Scan.AddTime(scanTime)
-		obs.Scan.AddStall(pps.DispStall)
-		obs.Dispatch.AddTime(dispTime)
-		obs.Batches = batches
-		obs.Events = events
-	}
-	ps := d.passStats(batches, pps)
-	if cause == io.EOF {
-		return sc, ps, nil
-	}
-	return sc, ps, cause
 }
 
 // feedResult is one task's outcome of one feed step: whether it

@@ -300,17 +300,17 @@ func (s *Set) Ledger() *Ledger {
 }
 
 // SetParallel overrides how shared passes execute: n >= 2 runs the
-// staged pipeline (tokenize ∥ validate ∥ dispatch), 1 the sequential
-// single-goroutine pass, and 0 (the default) resolves from GOMAXPROCS
-// (ResolveParallel). Takes effect at the next Run.
+// staged pipeline (tokenize ∥ validate ∥ dispatch), 1 or a negative n
+// the sequential single-goroutine pass, and 0 (the default) resolves
+// from GOMAXPROCS (ResolveParallel). Takes effect at the next Run.
 func (s *Set) SetParallel(n int) {
 	s.mu.Lock()
 	s.parallel = n
 	s.mu.Unlock()
 }
 
-// LastPass returns the pipeline metrics of the most recent successfully
-// completed Run (all zeros for sequential passes).
+// LastPass returns the pass metrics of the most recent successfully
+// completed Run (all but Batches zero for sequential passes).
 func (s *Set) LastPass() PassStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -592,7 +592,7 @@ func (s *Set) RunContext(ctx context.Context, r io.Reader) error {
 	}
 	gate.Close()
 	if tr != nil {
-		s.stampTrace(tr, obs, sc, ps, stall)
+		obs.StampTrace(tr, sc, ps, stall)
 	}
 	if err == nil {
 		if mt != nil {
@@ -676,11 +676,11 @@ func (o *PassObs) evalSpan(name string) *telemetry.Span {
 	return o.Dispatch.Child("eval:" + name)
 }
 
-// stampTrace finishes a pass's span tree: stage stall attribution, data
-// flow and ring peaks from the pass statistics.
-func (s *Set) stampTrace(tr *telemetry.Trace, obs *PassObs, sc xsax.ScanStats, ps PassStats, stall time.Duration) {
-	root := tr.Span()
-	root.AddStall(stall)
+// StampTrace finishes and ends a pass's span tree: the pass's gate stall
+// on the root, data flow on the scan span and, for a pipelined pass,
+// tokenize and validate children with their stage stalls and ring peaks.
+func (obs *PassObs) StampTrace(tr *telemetry.Trace, sc xsax.ScanStats, ps PassStats, stall time.Duration) {
+	tr.Span().AddStall(stall)
 	obs.Scan.AddBytes(sc.BytesRead)
 	obs.Scan.AddEvents(obs.Events)
 	if ps.Parallel >= 2 {

@@ -158,13 +158,16 @@ func (mt *setMetrics) evalSeconds(plan string) *telemetry.Histogram {
 // validate stall, ring peaks) is stamped onto child spans only after the
 // stage goroutines have joined.
 type PassObs struct {
-	// Scan accrues time spent pulling events from the stream (sequential:
-	// the batch fill loop; pipelined: waiting on the validated-batch
-	// ring, i.e. the dispatch stall). Dispatch accrues fan-out plus
+	// Scan accrues time spent taking batches from the pass's source
+	// (sequential: the batch fill loop; pipelined: waiting on the
+	// validated-batch ring, i.e. the dispatch stall). Dispatch accrues
+	// the delivery side: fan-out (or trie routing and flushes) plus
 	// slowest-consumer acknowledgement time.
 	Scan, Dispatch *telemetry.Span
 
-	// Batches and Events are the pass's delivery totals, filled by the
-	// dispatcher when the pass ends.
+	// Batches and Events are the pass's totals, filled when the pass
+	// ends: the non-empty batches the pass loop took from its source and
+	// the events in them, in every pass kind (the same Batches as
+	// PassStats). Trie flushes are counted in DispatchStats.Flushes.
 	Batches, Events int64
 }

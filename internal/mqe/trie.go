@@ -1,10 +1,6 @@
 package mqe
 
 import (
-	"io"
-	"time"
-
-	"fluxquery/internal/proj"
 	"fluxquery/internal/shared"
 	"fluxquery/internal/xmltok"
 	"fluxquery/internal/xsax"
@@ -25,13 +21,14 @@ import (
 // stream is woken rarely.
 //
 // Ownership: pending batches are dispatcher-owned xsax.Batches. Append
-// deep-copies event payloads out of the scanner (sequential) or the
-// validated ring batch (pipelined) immediately, so the source memory can
-// recycle without waiting for evaluator acknowledgements; symbol-table
-// references stay valid for the whole stream (the table is append-only
-// between streams, see xmltok.SymTab). A flush is one feedAll step over
-// the members of every due class, after which the pending batches reset
-// and their arenas reuse.
+// deep-copies event payloads out of the pass's source batch (filled by
+// the sequential reader or taken off the pipeline's validated ring)
+// immediately, so the source memory can recycle without waiting for
+// evaluator acknowledgements; symbol-table references stay valid for the
+// whole stream (the table is append-only between streams, see
+// xmltok.SymTab). A flush is one feedAll step over the members of every
+// due class, after which the pending batches reset and their arenas
+// reuse.
 
 // DispatchMode selects how a Set fans the shared stream out to its
 // plans.
@@ -88,137 +85,6 @@ type DispatchStats struct {
 	BuildNanos int64
 }
 
-// runTrie is the trie-routed shared pass, sequential or pipelined
-// depending on d.Parallel.
-func (d *Dispatcher) runTrie(r io.Reader, consumers []Consumer) (xsax.ScanStats, PassStats, error) {
-	maxEvents := d.BatchEvents
-	if maxEvents <= 0 {
-		maxEvents = defaultBatchEvents
-	}
-	maxBytes := d.BatchBytes
-	if maxBytes <= 0 {
-		maxBytes = defaultBatchBytes
-	}
-	s := newTrieSink(d.Trie, d.Members, consumers, maxEvents, maxBytes)
-	if d.Parallel >= 2 {
-		return d.runTriePipelined(r, s)
-	}
-	return d.runTrieSeq(r, s)
-}
-
-func (d *Dispatcher) runTrieSeq(r io.Reader, s *trieSink) (xsax.ScanStats, PassStats, error) {
-	xr := xsax.GetReader(r, d.DTD)
-	if d.Proj != nil && d.ProjMode != proj.ModeOff {
-		xr.SetProjection(d.Proj, d.ProjMode)
-	}
-	obs := d.Obs
-	var scanTime, dispTime time.Duration
-	var cause error
-	for cause == nil {
-		if err := d.ctxErr(); err != nil {
-			cause = err
-			break
-		}
-		if err := d.Gate.Wait(); err != nil {
-			cause = err
-			break
-		}
-		var t0 time.Time
-		if obs != nil {
-			t0 = time.Now()
-		}
-		// One chunk of routing between gate checks. Appending into
-		// pending batches is counted as scan work here; the flush
-		// rendezvous below is the dispatch side.
-		for n := 0; n < s.maxEvents; n++ {
-			ev, err := xr.NextEvent()
-			if err != nil {
-				cause = err
-				break
-			}
-			s.route(ev)
-		}
-		var t1 time.Time
-		if obs != nil {
-			t1 = time.Now()
-			scanTime += t1.Sub(t0)
-		}
-		s.flushDue()
-		if obs != nil {
-			dispTime += time.Since(t1)
-		}
-	}
-	s.finish(cause)
-	if obs != nil {
-		obs.Scan.AddTime(scanTime)
-		obs.Dispatch.AddTime(dispTime)
-		obs.Batches = s.flushes
-		obs.Events = s.events
-	}
-	s.report(d.Disp)
-	sc := xr.ScanStats()
-	xsax.PutReader(xr)
-	if cause == io.EOF {
-		return sc, PassStats{}, nil
-	}
-	return sc, PassStats{}, cause
-}
-
-func (d *Dispatcher) runTriePipelined(r io.Reader, s *trieSink) (xsax.ScanStats, PassStats, error) {
-	pl := d.newPipeline(r)
-	obs := d.Obs
-	var scanTime, dispTime time.Duration
-	var cause error
-	var batches int64
-	for cause == nil {
-		if err := d.ctxErr(); err != nil {
-			cause = err
-			break
-		}
-		var t0 time.Time
-		if obs != nil {
-			t0 = time.Now()
-		}
-		vb, err := pl.Next()
-		if err != nil {
-			cause = err
-			break
-		}
-		for i := range vb.Events {
-			s.route(&vb.Events[i])
-		}
-		var t1 time.Time
-		if obs != nil {
-			t1 = time.Now()
-			scanTime += t1.Sub(t0)
-		}
-		if vb.Len() > 0 {
-			batches++
-		}
-		// Only the plans whose pending batches filled are woken.
-		s.flushDue()
-		if obs != nil {
-			dispTime += time.Since(t1)
-		}
-		pl.Recycle(vb)
-	}
-	s.finish(cause)
-	sc, pps, _ := pl.Close()
-	if obs != nil {
-		obs.Scan.AddTime(scanTime)
-		obs.Scan.AddStall(pps.DispStall)
-		obs.Dispatch.AddTime(dispTime)
-		obs.Batches = s.flushes
-		obs.Events = s.events
-	}
-	s.report(d.Disp)
-	ps := d.passStats(batches, pps)
-	if cause == io.EOF {
-		return sc, ps, nil
-	}
-	return sc, ps, cause
-}
-
 // tframe is one open element on the trie walk: the interior node
 // governing its children and the fan-out list its end event owes.
 type tframe struct {
@@ -254,9 +120,11 @@ type trieSink struct {
 	maxEvents, maxBytes int
 	events, deliveries  int64
 	flushes             int64
+	// disp, when non-nil, receives the routing totals at close.
+	disp *DispatchStats
 }
 
-func newTrieSink(t *shared.Trie, members [][]int32, consumers []Consumer, maxEvents, maxBytes int) *trieSink {
+func newTrieSink(t *shared.Trie, members [][]int32, consumers []Consumer, maxEvents, maxBytes int, disp *DispatchStats) *trieSink {
 	if members == nil {
 		// Trie built directly over the consumers: one class each.
 		members = make([][]int32, len(consumers))
@@ -275,6 +143,7 @@ func newTrieSink(t *shared.Trie, members [][]int32, consumers []Consumer, maxEve
 		dueMark:   make([]bool, len(members)),
 		maxEvents: maxEvents,
 		maxBytes:  maxBytes,
+		disp:      disp,
 	}
 	for c := range s.pend {
 		s.pend[c] = xsax.GetBatch()
@@ -285,6 +154,15 @@ func newTrieSink(t *shared.Trie, members [][]int32, consumers []Consumer, maxEve
 	}
 	s.stack = append(s.stack, tframe{node: t.Root(), fan: -1})
 	return s
+}
+
+// feed routes one validated batch and flushes the classes whose pending
+// batches filled: only their plans are woken.
+func (s *trieSink) feed(evs []xsax.Event) {
+	for i := range evs {
+		s.route(&evs[i])
+	}
+	s.flushDue()
 }
 
 // route walks one event through the trie and appends it to every
@@ -372,10 +250,10 @@ func (s *trieSink) flushDue() {
 	s.due = s.due[:0]
 }
 
-// finish flushes every remaining pending batch, closes the consumers
-// with the stream's terminal status and returns the pending batches to
-// the pool.
-func (s *trieSink) finish(cause error) {
+// close flushes every remaining pending batch, closes the consumers
+// with the stream's terminal status, returns the pending batches to the
+// pool and reports the routing totals.
+func (s *trieSink) close(cause error) {
 	s.due = s.due[:0]
 	for c := range s.pend {
 		if s.clsLive[c] > 0 && s.pend[c].Len() > 0 {
@@ -393,14 +271,9 @@ func (s *trieSink) finish(cause error) {
 		xsax.PutBatch(s.pend[c])
 		s.pend[c] = nil
 	}
-}
-
-// report stamps the sink's routing totals onto the pass's DispatchStats.
-func (s *trieSink) report(ds *DispatchStats) {
-	if ds == nil {
-		return
+	if ds := s.disp; ds != nil {
+		ds.Events = s.events
+		ds.Deliveries = s.deliveries
+		ds.Flushes = s.flushes
 	}
-	ds.Events = s.events
-	ds.Deliveries = s.deliveries
-	ds.Flushes = s.flushes
 }

@@ -202,10 +202,7 @@ func TestTrieMidStreamUnregister(t *testing.T) {
 	d := dtd.MustParse(weakBib)
 	doc := bibDoc(500)
 
-	var want bytes.Buffer
-	if _, err := plan(t, q3, d).Run(strings.NewReader(doc), &want); err != nil {
-		t.Fatal(err)
-	}
+	want := naive(t, q3, d, doc)
 
 	s := NewSet(d)
 	s.SetDispatch(DispatchTrie)
@@ -228,7 +225,7 @@ func TestTrieMidStreamUnregister(t *testing.T) {
 	if _, rerr := keep.Result(); rerr != nil {
 		t.Errorf("sibling failed: %v", rerr)
 	}
-	if out.String() != want.String() {
+	if out.String() != want {
 		t.Errorf("sibling output diverged from independent run")
 	}
 	// After the churn, the next pass must again match a fresh build.
@@ -242,7 +239,7 @@ func TestTrieMidStreamUnregister(t *testing.T) {
 	if err := s.Run(strings.NewReader(doc)); err != nil {
 		t.Fatal(err)
 	}
-	if out.String() != want.String() {
+	if out.String() != want {
 		t.Errorf("second pass output diverged")
 	}
 }

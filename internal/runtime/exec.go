@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -13,8 +12,6 @@ import (
 	"fluxquery/internal/core"
 	"fluxquery/internal/dom"
 	"fluxquery/internal/eval"
-	"fluxquery/internal/proj"
-	"fluxquery/internal/telemetry"
 	"fluxquery/internal/xmltok"
 	"fluxquery/internal/xquery"
 	"fluxquery/internal/xsax"
@@ -72,278 +69,6 @@ type Stats struct {
 // compiled Plan executes from many goroutines with near-zero steady-state
 // allocation.
 var execPool = sync.Pool{New: func() any { return &exec{} }}
-
-// Batch sizing for the pull driver: enough events to amortize the
-// per-batch rendezvous to noise, small enough that the owned-copy arena
-// stays cache-resident.
-const (
-	feedBatchEvents = 256
-	feedBatchBytes  = 32 << 10
-)
-
-// Run executes the plan on an input stream, writing the result stream to
-// out. It is the single-query wrapper over the incremental push API: a
-// pooled validating reader tokenizes and validates the stream, and
-// batches of owned events are fed to a StepExec. The shared-stream
-// dispatcher (internal/mqe) drives the same StepExec machinery with one
-// reader and many plans.
-func (p *Plan) Run(in io.Reader, out io.Writer) (*Stats, error) {
-	return p.RunManaged(in, out, nil)
-}
-
-// RunManaged is Run with the execution's buffer memory governed by m: a
-// per-pass gate throttles the feed loop under backpressure and a
-// per-plan account enforces the budget at every buffer-fill point (nil m
-// = unmanaged, the plain Run).
-func (p *Plan) RunManaged(in io.Reader, out io.Writer, m *bufmgr.Manager) (*Stats, error) {
-	return p.runManaged(nil, in, out, m, nil)
-}
-
-// RunManagedContext is RunManaged under a cancellation context: the feed
-// loop checks ctx at every batch boundary and the backpressure gate
-// unparks on cancellation, so a cancelled run terminates promptly with
-// ctx's error as the plan's terminal status (never a silently truncated
-// result). A nil ctx degrades to RunManaged.
-func (p *Plan) RunManagedContext(ctx context.Context, in io.Reader, out io.Writer, m *bufmgr.Manager) (*Stats, error) {
-	return p.runManaged(ctx, in, out, m, nil)
-}
-
-// RunManagedTrace is RunManaged with span capture: tr's root span gains
-// "scan" (batch fill) and "eval" (plan evaluation) children whose
-// accumulated durations partition the pass's wall time (modulo loop
-// overhead), and the trace is ended when the run returns. A nil trace
-// degrades to RunManaged.
-func (p *Plan) RunManagedTrace(in io.Reader, out io.Writer, m *bufmgr.Manager, tr *telemetry.Trace) (*Stats, error) {
-	return p.runManaged(nil, in, out, m, tr)
-}
-
-// RunManagedTraceContext is RunManagedTrace under a cancellation context.
-func (p *Plan) RunManagedTraceContext(ctx context.Context, in io.Reader, out io.Writer, m *bufmgr.Manager, tr *telemetry.Trace) (*Stats, error) {
-	return p.runManaged(ctx, in, out, m, tr)
-}
-
-func (p *Plan) runManaged(ctx context.Context, in io.Reader, out io.Writer, m *bufmgr.Manager, tr *telemetry.Trace) (*Stats, error) {
-	gate := m.NewGate()
-	gate.Bind(ctx)
-	acct := gate.NewAccount()
-	se := p.NewStepExecBudgeted(out, acct)
-	xr := xsax.GetReader(in, p.d)
-	if p.pmode != proj.ModeOff {
-		xr.SetProjection(p.pauto, p.pmode)
-	}
-	passID := telemetry.NextPassID()
-	traced := tr != nil
-	if traced {
-		passID = tr.PassID
-	}
-	scanSpan := tr.Span().Child("scan")
-	evalSpan := tr.Span().Child("eval")
-	var scanTime, evalTime time.Duration
-	b := xsax.GetBatch()
-	var cause error
-	for cause == nil {
-		if ctx != nil && ctx.Err() != nil {
-			cause = ctx.Err()
-			break
-		}
-		// The backpressure point: under PolicyBackpressure the gate
-		// blocks the feed while the process is over budget and another
-		// pass can still drain. With a bound context it doubles as the
-		// cancellation checkpoint, unparking on ctx.Done.
-		if err := gate.Wait(); err != nil {
-			cause = err
-			break
-		}
-		b.Reset()
-		var t0 time.Time
-		if traced {
-			t0 = time.Now()
-		}
-		for b.Len() < feedBatchEvents && b.ArenaBytes() < feedBatchBytes {
-			ev, err := xr.NextEvent()
-			if err != nil {
-				cause = err
-				break
-			}
-			b.Append(ev)
-		}
-		var t1 time.Time
-		if traced {
-			t1 = time.Now()
-			scanTime += t1.Sub(t0)
-		}
-		done, _ := se.Feed(b.Events)
-		if traced {
-			evalTime += time.Since(t1)
-		}
-		if done {
-			break
-		}
-	}
-	st, err := se.Close(cause)
-	if st != nil {
-		sc := xr.ScanStats()
-		st.ScanEventsDelivered = sc.EventsDelivered
-		st.ScanEventsSkipped = sc.EventsSkipped
-		st.ScanSubtreesSkipped = sc.SubtreesSkipped
-		st.ScanBytesSkipped = sc.BytesSkipped
-		st.ScanBytesRead = sc.BytesRead
-		st.PassID = passID
-		scanSpan.AddBytes(sc.BytesRead)
-		scanSpan.AddEvents(st.Events)
-	}
-	if acct != nil {
-		as := acct.Close()
-		if st != nil {
-			st.PeakHeapBufferBytes = as.PeakBytes
-			st.SpilledBytes = as.SpilledBytes
-			st.RehydratedBytes = as.RehydratedBytes
-			st.BudgetStall = gate.Stall()
-		}
-	}
-	if traced {
-		scanSpan.AddTime(scanTime)
-		evalSpan.AddTime(evalTime)
-		tr.Span().AddStall(gate.Stall())
-		tr.End()
-	}
-	gate.Close()
-	xsax.PutBatch(b)
-	xsax.PutReader(xr)
-	return st, err
-}
-
-// RunManagedParallel is RunManaged in pipelined form: tokenization and
-// DTD validation run ahead of evaluation on their own goroutines,
-// connected by bounded batch rings (xsax.Pipeline), so the scan overlaps
-// the plan's evaluator instead of alternating with it. Output and error
-// semantics are identical to RunManaged.
-func (p *Plan) RunManagedParallel(in io.Reader, out io.Writer, m *bufmgr.Manager) (*Stats, error) {
-	return p.runManagedParallel(nil, in, out, m, nil)
-}
-
-// RunManagedParallelContext is RunManagedParallel under a cancellation
-// context: the driver stops waiting on the validated-batch ring as soon
-// as ctx is done, stage goroutines parked at the backpressure gate or on
-// ring hand-offs unpark, and the pipeline is joined before returning
-// ctx's error as the plan's terminal status.
-func (p *Plan) RunManagedParallelContext(ctx context.Context, in io.Reader, out io.Writer, m *bufmgr.Manager) (*Stats, error) {
-	return p.runManagedParallel(ctx, in, out, m, nil)
-}
-
-// RunManagedParallelTrace is RunManagedParallel with span capture. The
-// "scan" child accumulates the feed loop's wait on the validated-batch
-// ring and carries "tokenize"/"validate" sub-spans with stage stall and
-// ring-peak attribution; "eval" is the plan's evaluation time. Stage
-// spans describe concurrent goroutines, so unlike the sequential form
-// their durations overlap the wall clock rather than partitioning it.
-func (p *Plan) RunManagedParallelTrace(in io.Reader, out io.Writer, m *bufmgr.Manager, tr *telemetry.Trace) (*Stats, error) {
-	return p.runManagedParallel(nil, in, out, m, tr)
-}
-
-// RunManagedParallelTraceContext is RunManagedParallelTrace under a
-// cancellation context.
-func (p *Plan) RunManagedParallelTraceContext(ctx context.Context, in io.Reader, out io.Writer, m *bufmgr.Manager, tr *telemetry.Trace) (*Stats, error) {
-	return p.runManagedParallel(ctx, in, out, m, tr)
-}
-
-func (p *Plan) runManagedParallel(ctx context.Context, in io.Reader, out io.Writer, m *bufmgr.Manager, tr *telemetry.Trace) (*Stats, error) {
-	gate := m.NewGate()
-	gate.Bind(ctx)
-	acct := gate.NewAccount()
-	se := p.NewStepExecBudgeted(out, acct)
-	var pa *proj.Automaton
-	if p.pmode != proj.ModeOff {
-		pa = p.pauto
-	}
-	pl := xsax.NewPipeline(in, p.d, xsax.PipelineConfig{
-		BatchEvents: feedBatchEvents,
-		BatchBytes:  feedBatchBytes,
-		Proj:        pa,
-		ProjMode:    p.pmode,
-		// The backpressure point moves into the tokenizer stage: under
-		// PolicyBackpressure it parks before each batch while the
-		// process is over budget and another pass can still drain.
-		Throttle: gate.Wait,
-		Ctx:      ctx,
-	})
-	passID := telemetry.NextPassID()
-	traced := tr != nil
-	if traced {
-		passID = tr.PassID
-	}
-	scanSpan := tr.Span().Child("scan")
-	evalSpan := tr.Span().Child("eval")
-	var scanTime, evalTime time.Duration
-	var cause error
-	for cause == nil {
-		if ctx != nil && ctx.Err() != nil {
-			cause = ctx.Err()
-			break
-		}
-		var t0 time.Time
-		if traced {
-			t0 = time.Now()
-		}
-		vb, err := pl.Next()
-		var t1 time.Time
-		if traced {
-			t1 = time.Now()
-			scanTime += t1.Sub(t0)
-		}
-		if err != nil {
-			cause = err
-			break
-		}
-		done, _ := se.Feed(vb.Events)
-		pl.Recycle(vb)
-		if traced {
-			evalTime += time.Since(t1)
-		}
-		if done {
-			break
-		}
-	}
-	st, err := se.Close(cause)
-	if acct != nil {
-		as := acct.Close()
-		if st != nil {
-			st.PeakHeapBufferBytes = as.PeakBytes
-			st.SpilledBytes = as.SpilledBytes
-			st.RehydratedBytes = as.RehydratedBytes
-		}
-	}
-	// The account is closed first: a tokenizer stage parked in the gate
-	// can only drain once this pass's reservations release.
-	sc, pps, _ := pl.Close()
-	if st != nil {
-		// The gate parks the tokenizer stage, so its stall is final only
-		// once Close has joined the stages.
-		st.BudgetStall = gate.Stall()
-		st.ScanEventsDelivered = sc.EventsDelivered
-		st.ScanEventsSkipped = sc.EventsSkipped
-		st.ScanSubtreesSkipped = sc.SubtreesSkipped
-		st.ScanBytesSkipped = sc.BytesSkipped
-		st.ScanBytesRead = sc.BytesRead
-		st.PassID = passID
-		scanSpan.AddBytes(sc.BytesRead)
-		scanSpan.AddEvents(st.Events)
-	}
-	if traced {
-		scanSpan.AddTime(scanTime)
-		evalSpan.AddTime(evalTime)
-		tok := scanSpan.Child("tokenize")
-		tok.AddStall(pps.TokStall)
-		tok.SetRingPeak(pps.TokRingPeak)
-		val := scanSpan.Child("validate")
-		val.AddStall(pps.ValStall)
-		val.SetRingPeak(pps.ValRingPeak)
-		tr.Span().AddStall(gate.Stall())
-		tr.End()
-	}
-	gate.Close()
-	return st, err
-}
 
 func (ex *exec) run(p *Plan) (*Stats, error) {
 	if err := ex.evalTop(p.root); err != nil {

@@ -22,8 +22,8 @@ type Plan struct {
 	// BDF retains the forest for explain output.
 	BDF *bdf.Forest
 	// paths/pauto are the plan's projection path-set and its compiled
-	// skip automaton (see package proj); pmode selects how Plan.Run
-	// applies it.
+	// skip automaton (see package proj); pmode selects how the plan's own
+	// single-plan pass applies it.
 	paths *proj.PathSet
 	pauto *proj.Automaton
 	pmode proj.Mode
@@ -50,6 +50,10 @@ func (p *Plan) DTD() *dtd.DTD { return p.d }
 // (vocabulary form, dense name-id jump tables). The multi-query dispatch
 // trie is the product of these automata across all registered plans.
 func (p *Plan) ProjAutomaton() *proj.Automaton { return p.pauto }
+
+// ProjMode returns how a single-plan pass applies the plan's projection
+// automaton to its scan (Options.Projection).
+func (p *Plan) ProjMode() proj.Mode { return p.pmode }
 
 // NeedShells reports whether the plan must receive start/end shells for
 // elements it does not descend into. It is false exactly when no
@@ -148,10 +152,10 @@ type Options struct {
 	// the buffering of the data which can be processed on the fly" and of
 	// data the handlers never read.
 	FullBuffers bool
-	// Projection selects how Plan.Run applies the plan's skip automaton
-	// to its own scan: ModeFast (default) bulk-skips irrelevant subtrees
-	// in the tokenizer, ModeValidate filters delivery but still validates
-	// everything, ModeOff delivers every event.
+	// Projection selects how the plan's own single-plan pass applies its
+	// skip automaton to the scan: ModeFast (default) bulk-skips irrelevant
+	// subtrees in the tokenizer, ModeValidate filters delivery but still
+	// validates everything, ModeOff delivers every event.
 	Projection proj.Mode
 }
 

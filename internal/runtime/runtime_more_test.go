@@ -48,11 +48,11 @@ func TestFullBuffersAblation(t *testing.T) {
 	projected := planWith(t, infoQuery, infoBib, Options{})
 	full := planWith(t, infoQuery, infoBib, Options{FullBuffers: true})
 	var out1, out2 strings.Builder
-	st1, err := projected.Run(strings.NewReader(infoDoc), &out1)
+	st1, err := runPass(projected, strings.NewReader(infoDoc), &out1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := full.Run(strings.NewReader(infoDoc), &out2)
+	st2, err := runPass(full, strings.NewReader(infoDoc), &out2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestReplayModeAtomicAndCopy(t *testing.T) {
 	src := `<out>{ for $i in $ROOT/r/item return <c>{ $i/@k }</c> }{ if ($ROOT/r/item = "x") then <has-x/> else () }</out>`
 	p := planWith(t, src, d, Options{})
 	var out strings.Builder
-	st, err := p.Run(strings.NewReader(`<r><item k="1">x</item><item k="2">y</item></r>`), &out)
+	st, err := runPass(p, strings.NewReader(`<r><item k="1">x</item><item k="2">y</item></r>`), &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestWhitespacePreservedInPCData(t *testing.T) {
 	var out strings.Builder
 	doc := `<bib><book><author>  spaced  text </author><title> keep
 newlines </title></book></bib>`
-	if _, err := p.Run(strings.NewReader(doc), &out); err != nil {
+	if _, err := runPass(p, strings.NewReader(doc), &out); err != nil {
 		t.Fatal(err)
 	}
 	want := `<r><x><title> keep
@@ -122,7 +122,7 @@ newlines </title><author>  spaced  text </author></x></r>`
 func TestStatsEventCounts(t *testing.T) {
 	p := plan(t, q3, weakBib)
 	var out strings.Builder
-	st, err := p.Run(strings.NewReader(weakDoc), &out)
+	st, err := runPass(p, strings.NewReader(weakDoc), &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestEntityHeavyContent(t *testing.T) {
 	p := plan(t, q3, weakBib)
 	doc := `<bib><book><title>a &lt; b &amp; c</title><author>&quot;A&quot; &#65;</author></book></bib>`
 	var out strings.Builder
-	if _, err := p.Run(strings.NewReader(doc), &out); err != nil {
+	if _, err := runPass(p, strings.NewReader(doc), &out); err != nil {
 		t.Fatal(err)
 	}
 	want := `<results><result><title>a &lt; b &amp; c</title><author>"A" A</author></result></results>`
@@ -157,7 +157,7 @@ func TestWildcardLoop(t *testing.T) {
 	src := `<out>{ for $c in $ROOT/r/* return <w>{ $c/text() }</w> }</out>`
 	p := planWith(t, src, d, Options{})
 	var out strings.Builder
-	if _, err := p.Run(strings.NewReader(`<r><a>1</a><b>2</b><a>3</a></r>`), &out); err != nil {
+	if _, err := runPass(p, strings.NewReader(`<r><a>1</a><b>2</b><a>3</a></r>`), &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.String() != `<out><w>1</w><w>2</w><w>3</w></out>` {

@@ -1,13 +1,16 @@
 package runtime
 
 import (
+	"io"
 	"strings"
 	"testing"
 
 	"fluxquery/internal/core"
 	"fluxquery/internal/dtd"
 	"fluxquery/internal/nf"
+	"fluxquery/internal/proj"
 	"fluxquery/internal/xquery"
+	"fluxquery/internal/xsax"
 )
 
 const weakBib = `
@@ -48,10 +51,44 @@ func plan(t *testing.T, src, dtdSrc string) *Plan {
 	return p
 }
 
+// runPass executes p over in the way a single-plan pass does: a
+// validating reader, projecting per the plan's mode, fills owned batches
+// that a StepExec evaluates; the reader's scan statistics are stamped on
+// the result.
+func runPass(p *Plan, in io.Reader, out io.Writer) (*Stats, error) {
+	xr := xsax.NewReader(in, p.DTD())
+	if p.ProjMode() != proj.ModeOff {
+		xr.SetProjection(p.ProjAutomaton(), p.ProjMode())
+	}
+	se := p.NewStepExec(out)
+	b := xsax.GetBatch()
+	defer xsax.PutBatch(b)
+	var cause error
+	for cause == nil {
+		b.Reset()
+		for b.Len() < 256 {
+			ev, err := xr.NextEvent()
+			if err != nil {
+				cause = err
+				break
+			}
+			b.Append(ev)
+		}
+		if done, _ := se.Feed(b.Events); done {
+			break
+		}
+	}
+	st, err := se.Close(cause)
+	if st != nil {
+		st.ScanEventsDelivered = xr.ScanStats().EventsDelivered
+	}
+	return st, err
+}
+
 func runPlan(t *testing.T, p *Plan, doc string) (string, *Stats) {
 	t.Helper()
 	var out strings.Builder
-	st, err := p.Run(strings.NewReader(doc), &out)
+	st, err := runPass(p, strings.NewReader(doc), &out)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -172,7 +209,7 @@ func TestJoinOverRootBuffers(t *testing.T) {
 func TestInvalidDocumentRejected(t *testing.T) {
 	p := plan(t, q3, strongBib)
 	var out strings.Builder
-	_, err := p.Run(strings.NewReader(`<bib><book><author>A</author><title>T</title><publisher>P</publisher><price>1</price></book></bib>`), &out)
+	_, err := runPass(p, strings.NewReader(`<bib><book><author>A</author><title>T</title><publisher>P</publisher><price>1</price></book></bib>`), &out)
 	if err == nil {
 		t.Fatal("invalid document (author before title) accepted")
 	}

@@ -22,8 +22,8 @@ import (
 // arena may be reused, because no evaluator can still be reading it.
 //
 // Batching amortizes the two channel operations per rendezvous over a few
-// hundred events, so the single-query path (Plan.Run, which is now a thin
-// pull-driver over a StepExec) keeps its throughput.
+// hundred events, so a single-plan execution — a one-consumer pass of the
+// same dispatcher — keeps its throughput.
 //
 // The evaluator goroutine grows its stack on entry (growStack). A new
 // goroutine starts with a small stack, and the recursive evaluator
@@ -71,6 +71,9 @@ type pushSource struct {
 	// needAck marks that a batch was received and its consumption must be
 	// acknowledged before blocking for the next one.
 	needAck bool
+	// w is the execution's output writer, whose sticky error ends the
+	// evaluation at the next batch boundary.
+	w *xmltok.Writer
 }
 
 func (s *pushSource) reset() {
@@ -80,13 +83,20 @@ func (s *pushSource) reset() {
 }
 
 // NextEvent returns the next event of the current batch, rendezvousing
-// with the driver when the batch is exhausted. A terminal error is
-// sticky: once delivered, every further call returns it without
+// with the driver when the batch is exhausted; an output writer that has
+// failed is reported instead of asking for the next batch. A terminal
+// error is sticky: once delivered, every further call returns it without
 // synchronization (drain loops spin on io.EOF this way).
 func (s *pushSource) NextEvent() (*xsax.Event, error) {
 	for s.idx >= len(s.cur.evs) {
 		if s.cur.err != nil {
 			return nil, s.cur.err
+		}
+		// A failed output writer ends the plan here rather than at its
+		// final Flush, so the pass stops feeding it.
+		if err := s.w.Err(); err != nil {
+			s.cur = pushBatch{err: err}
+			return nil, err
 		}
 		if s.needAck {
 			s.acks <- ackMsg{}
@@ -147,6 +157,7 @@ func (p *Plan) NewStepExecBudgeted(out io.Writer, acct *bufmgr.Account) *StepExe
 	ex := execPool.Get().(*exec)
 	ex.xr = src
 	ex.w = xmltok.GetWriter(out)
+	src.w = ex.w
 	ex.st = &Stats{}
 	ex.cur = 0
 	ex.acct = acct
@@ -279,6 +290,7 @@ func (e *StepExec) Close(cause error) (*Stats, error) {
 		e.ex.xr, e.ex.w, e.ex.st, e.ex.acct = nil, nil, nil, nil
 		execPool.Put(e.ex)
 		e.ex = nil
+		e.src.w = nil
 		srcPool.Put(e.src)
 		e.src = nil
 	}
