@@ -73,20 +73,25 @@ func newFaultHarness(r *runner) (*faultHarness, error) {
 	h.bodyPlan = ref
 	h.bodyDoc = doc
 
-	d, err := fluxquery.ParseDTD(mqDTD())
+	// The ring set is four streaming XMark queries over one auction
+	// document, pinned to the pipelined pass whatever GOMAXPROCS is.
+	auction := workload.ByName("xmark-q1")
+	if h.ringDoc, err = r.gen(auction, 64<<10); err != nil {
+		return nil, err
+	}
+	d, err := fluxquery.ParseDTD(auction.DTD)
 	if err != nil {
 		return nil, err
 	}
 	set := fluxquery.NewStreamSet(d)
 	set.SetParallel(4)
-	for g := 0; g < 4; g++ {
-		p := fluxquery.MustCompile(mqQuery(g), mqDTD(), fluxquery.Options{})
-		if _, err := set.Register(p, io.Discard); err != nil {
+	for _, name := range []string{"xmark-q1", "xmark-q13", "xmark-q2-bidders", "xmark-q20-cities"} {
+		q := workload.ByName(name)
+		if _, err := set.Register(fluxquery.MustCompile(q.Query, q.DTD, fluxquery.Options{}), io.Discard); err != nil {
 			return nil, err
 		}
 	}
 	h.ringSet = set
-	h.ringDoc = mqDoc()
 	return h, nil
 }
 

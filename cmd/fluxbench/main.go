@@ -1,4 +1,4 @@
-// Command fluxbench regenerates the evaluation tables of EXPERIMENTS.md:
+// Command fluxbench regenerates the paper's evaluation tables, E1–E9:
 // for every experiment it runs the workload on the flux, projection and
 // naive engines and prints the measured runtime and buffer high-water
 // mark in the shape the paper reports (who wins, by what factor, and how
@@ -9,26 +9,13 @@
 //	fluxbench                       # all experiments at default scale
 //	fluxbench -exp e1               # one experiment
 //	fluxbench -scale 4              # 4x larger documents
-//	fluxbench -json out.json        # machine-readable suite results ("-" = stdout)
-//	fluxbench -baseline BENCH.json  # diff current MB/s against a committed baseline
-//	fluxbench -cpuprofile cpu.prof  # pprof evidence for perf PRs
 //	fluxbench -fault sweep          # fault-injection matrix: every site x mode
 //	fluxbench -fault spill.write:error:1   # arm one fault spec and run its workloads
 //
-// With -json, fluxbench skips the tables and instead runs the workload
-// catalogue (every case on every engine, plus the shared-stream
-// multi-query workload) and writes one JSON record per measurement —
-// engine, query, throughput, allocations and peak buffer — so successive
-// PRs can record BENCH_*.json trajectory files.
-//
-// With -baseline, the same catalogue runs and its throughput is compared
-// per measurement against the given BENCH_*.json file; the process exits
-// non-zero when any shared measurement regresses by more than
-// -regress-pct percent MB/s (default 10). Baselines are machine-specific:
-// compare only runs from the same class of hardware.
-//
-// -cpuprofile and -memprofile write pprof profiles covering the measured
-// work, so perf PRs can attach evidence of where the time went.
+// The tables are for reading the paper's shapes, not for gating a change:
+// throughput and latency are measured by the paired runs of bench/, and
+// the exact per-pass counters (output, events, buffer and spill bytes,
+// allocations) are pinned by TestCounters against testdata/counters.json.
 //
 // With -fault, fluxbench instead exercises the engine's fault-injection
 // sites (internal/faultinj): "-fault sweep" runs every site × mode and
@@ -45,14 +32,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	goruntime "runtime"
-	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
 
 	"fluxquery"
-	"fluxquery/internal/unit"
 	"fluxquery/internal/workload"
 	"fluxquery/internal/xmlgen"
 )
@@ -60,86 +44,30 @@ import (
 var engines = []fluxquery.Engine{fluxquery.EngineFlux, fluxquery.EngineProjection, fluxquery.EngineNaive}
 
 func main() {
-	// The work happens in run so that its defers — the pprof writers in
-	// particular — complete before the process exits with a failure code
-	// (a -baseline regression is exactly when the profiles are wanted).
 	os.Exit(run())
 }
 
 func run() int {
+	known := strings.Join(sortedIDs(), ", ")
 	var (
-		exp        = flag.String("exp", "all", "experiment id: e1..e8 or all")
-		scale      = flag.Int64("scale", 1, "document size multiplier")
-		reps       = flag.Int("reps", 3, "repetitions per measurement (best time reported)")
-		jsonPath   = flag.String("json", "", "write machine-readable workload-suite results to this file (\"-\" for stdout) instead of the experiment tables")
-		baseline   = flag.String("baseline", "", "diff the current run against this BENCH_*.json file and exit non-zero on regression")
-		regressPct = flag.Float64("regress-pct", 10, "MB/s regression threshold (percent) for -baseline")
-		normalize  = flag.Bool("normalize", false, "for -baseline: divide every current/baseline ratio by the run's median ratio, cancelling uniform machine-speed differences (use when diffing against a baseline from different hardware)")
-		budget     = flag.String("budget", "", "byte budget for the budgeted (spill) suite, e.g. 512K or 64M; empty = half of each workload's natural peak")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the measured work to this file")
-		memProf    = flag.String("memprofile", "", "write a heap profile (taken after the measured work) to this file")
-		parallel   = flag.Int("parallel", 4, "Parallel setting of the parallel suite's pipelined shared pass (values below 2 mean 4)")
-		fault      = flag.String("fault", "", "fault-injection mode: \"sweep\" runs every site x mode; any other value is a faultinj ArmSpec (site:mode[:param], comma-separated) armed for one run")
+		exp   = flag.String("exp", "all", "experiment id: "+known+", or all")
+		scale = flag.Int64("scale", 1, "document size multiplier")
+		reps  = flag.Int("reps", 3, "repetitions per measurement (best time reported)")
+		fault = flag.String("fault", "", "fault-injection mode: \"sweep\" runs every site x mode; any other value is a faultinj ArmSpec (site:mode[:param], comma-separated) armed for one run")
 	)
 	flag.Parse()
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fluxbench: -cpuprofile: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "fluxbench: -cpuprofile: %v\n", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fluxbench: -memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			goruntime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "fluxbench: -memprofile: %v\n", err)
-			}
-		}()
-	}
-	budgetBytes, err := unit.ParseBytes(*budget)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fluxbench: -budget: %v\n", err)
-		return 1
-	}
-	r := &runner{scale: *scale, reps: *reps, budget: budgetBytes, parallel: *parallel, w: os.Stdout}
+	r := &runner{scale: *scale, reps: *reps, w: os.Stdout}
 	if *fault != "" {
 		return runFault(r, *fault)
 	}
-	if *baseline != "" {
-		if err := runBaseline(r, *baseline, *regressPct, *normalize); err != nil {
-			fmt.Fprintf(os.Stderr, "fluxbench: -baseline: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *jsonPath != "" {
-		if err := runJSON(r, *jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "fluxbench: -json: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	ids := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9"}
+	ids := sortedIDs()
 	if *exp != "all" {
 		ids = []string{*exp}
 	}
 	for _, id := range ids {
 		fn, ok := experiments[id]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "fluxbench: unknown experiment %q\n", id)
+			fmt.Fprintf(os.Stderr, "fluxbench: unknown experiment %q (want %s, or all)\n", id, known)
 			return 1
 		}
 		if err := fn(r); err != nil {
@@ -154,13 +82,7 @@ func run() int {
 type runner struct {
 	scale int64
 	reps  int
-	// budget overrides the budgeted suite's byte budget (0 = half of
-	// each workload's measured natural peak).
-	budget int64
-	// parallel is the Parallel setting of the parallel suite's
-	// pipelined measurement.
-	parallel int
-	w        io.Writer
+	w     io.Writer
 }
 
 type measurement struct {
@@ -439,12 +361,13 @@ func e9(r *runner) error {
 	return nil
 }
 
-// sortedIDs lists experiment ids for -h output.
-func sortedIDs() string {
+// sortedIDs lists the experiment ids in run order; it feeds the -exp
+// help, the "all" run and the unknown-experiment error.
+func sortedIDs() []string {
 	ids := make([]string, 0, len(experiments))
 	for id := range experiments {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	return strings.Join(ids, ", ")
+	return ids
 }

@@ -133,17 +133,18 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"fluxquery"
-	"fluxquery/internal/unit"
 )
 
 func main() {
@@ -183,7 +184,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fluxserve:", err)
 		os.Exit(2)
 	}
-	budgetBytes, err := unit.ParseBytes(*budget)
+	budgetBytes, err := parseBytes(*budget)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fluxserve: -budget:", err)
 		os.Exit(2)
@@ -296,3 +297,28 @@ type multiFlag []string
 
 func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
+
+// parseBytes reads a byte count with an optional K/M/G suffix (binary
+// units); "" means 0. Negative values and products that would overflow
+// int64 are rejected — a wrapped-negative size silently disabling a
+// limit is exactly the failure this guards against.
+func parseBytes(in string) (int64, error) {
+	s := strings.TrimSpace(in)
+	if s == "" {
+		return 0, nil
+	}
+	mult := int64(1)
+	switch s[len(s)-1] {
+	case 'k', 'K':
+		mult, s = 1<<10, s[:len(s)-1]
+	case 'm', 'M':
+		mult, s = 1<<20, s[:len(s)-1]
+	case 'g', 'G':
+		mult, s = 1<<30, s[:len(s)-1]
+	}
+	n, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
+	if err != nil || n < 0 || n > math.MaxInt64/mult {
+		return 0, fmt.Errorf("want a byte count like 512K or 64M, got %q", in)
+	}
+	return n * mult, nil
+}

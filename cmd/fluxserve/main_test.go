@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"fluxquery"
-	"fluxquery/internal/unit"
 )
 
 const testDTD = `
@@ -316,7 +315,8 @@ func TestBudgetFailPerQueryRejection(t *testing.T) {
 	}
 }
 
-// TestParseBytes covers the -budget flag syntax (shared helper).
+// TestParseBytes covers the -budget flag syntax. A rejection quotes the
+// input as given, suffix included.
 func TestParseBytes(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -325,11 +325,14 @@ func TestParseBytes(t *testing.T) {
 	}{
 		{"", 0, false}, {"1024", 1024, false}, {"4K", 4 << 10, false},
 		{"64M", 64 << 20, false}, {"2g", 2 << 30, false}, {"1.5M", 0, true},
-		{"-3", 0, true}, {"x", 0, true},
+		{"-3", 0, true}, {"x", 0, true}, {"-5K", 0, true},
 	} {
-		got, err := unit.ParseBytes(tc.in)
+		got, err := parseBytes(tc.in)
 		if (err != nil) != tc.err || got != tc.want {
 			t.Errorf("parseBytes(%q) = %d, %v; want %d, err=%v", tc.in, got, err, tc.want, tc.err)
+		}
+		if err != nil && !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.in)) {
+			t.Errorf("parseBytes(%q) error %q does not quote the input", tc.in, err)
 		}
 	}
 }

@@ -389,7 +389,7 @@ func (rec *Recorder) RollupAt(window time.Duration, now time.Time) Rollup {
 }
 
 // quantile returns the q-quantile of ascending-sorted durations by the
-// nearest-rank method (matching fluxbench's convention).
+// nearest-rank method.
 func quantile(durs []time.Duration, q float64) time.Duration {
 	rank := int(math.Ceil(q * float64(len(durs))))
 	if rank < 1 {

@@ -267,3 +267,98 @@ func TestMultiQueryDeepPathTrieFlood(t *testing.T) {
 	doc.WriteString("<n><t>top</t></n></d>")
 	runSharedDifferential(t, dtdSrc, []string{deep, shallow}, doc.String(), []int{1, 2})
 }
+
+// The dispatch benchmark's catalog: db holds a free mix of catalogGroups
+// group elements, each a star of its own item kind with two leaf fields.
+// Every content model is an unordered star, so every plan streams
+// without buffering and the benchmark isolates dispatch cost.
+const (
+	catalogGroups        = 32
+	catalogItemsPerGroup = 140 // document lands near 256 KB
+)
+
+func catalogDTD() string {
+	var sb strings.Builder
+	sb.WriteString("<!ELEMENT db (")
+	for g := 0; g < catalogGroups; g++ {
+		if g > 0 {
+			sb.WriteByte('|')
+		}
+		fmt.Fprintf(&sb, "g%d", g)
+	}
+	sb.WriteString(")*>\n")
+	for g := 0; g < catalogGroups; g++ {
+		fmt.Fprintf(&sb, "<!ELEMENT g%d (item%d)*>\n", g, g)
+		fmt.Fprintf(&sb, "<!ELEMENT item%d (name%d|val%d)*>\n", g, g, g)
+		fmt.Fprintf(&sb, "<!ELEMENT name%d (#PCDATA)>\n", g)
+		fmt.Fprintf(&sb, "<!ELEMENT val%d (#PCDATA)>\n", g)
+	}
+	return sb.String()
+}
+
+func catalogDoc() []byte {
+	var sb bytes.Buffer
+	sb.WriteString("<db>")
+	for g := 0; g < catalogGroups; g++ {
+		fmt.Fprintf(&sb, "<g%d>", g)
+		for i := 0; i < catalogItemsPerGroup; i++ {
+			fmt.Fprintf(&sb, "<item%d><name%d>n%d-%d</name%d><val%d>%d</val%d></item%d>",
+				g, g, g, i, g, g, i%97, g, g)
+		}
+		fmt.Fprintf(&sb, "</g%d>", g)
+	}
+	sb.WriteString("</db>")
+	return sb.Bytes()
+}
+
+func catalogQuery(g int) string {
+	return fmt.Sprintf("<out>{ for $x in $ROOT/db/g%d/item%d return <r>{ $x/name%d }</r> }</out>",
+		g, g, g)
+}
+
+// BenchmarkStreamSetDispatch measures the marginal per-plan cost of one
+// shared pass, reported as ns/plan, as registrations grow while the
+// path population stays fixed: N plans drawn round-robin from
+// catalogGroups loop paths, dispatched by fanout (every event to every
+// plan) or by the trie (which interns the families, so delivery cost
+// tracks the plans an event reaches). The first pass after registration
+// builds the projection union and the trie snapshot and runs outside
+// the timer; the benchmark measures the steady state of a long-lived
+// set.
+func BenchmarkStreamSetDispatch(b *testing.B) {
+	dtdSrc := catalogDTD()
+	d, err := ParseDTD(dtdSrc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	doc := catalogDoc()
+	plans := make([]*Plan, catalogGroups)
+	for g := range plans {
+		plans[g] = MustCompile(catalogQuery(g), dtdSrc, Options{})
+	}
+	for _, mode := range []Dispatch{DispatchFanout, DispatchTrie} {
+		for _, n := range []int{7, 100, 10000} {
+			b.Run(fmt.Sprintf("dispatch=%v/plans=%d", mode, n), func(b *testing.B) {
+				set := NewStreamSet(d)
+				set.SetDispatch(mode)
+				for i := 0; i < n; i++ {
+					if _, err := set.Register(plans[i%catalogGroups], io.Discard); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := set.Run(bytes.NewReader(doc)); err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(int64(len(doc)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := set.Run(bytes.NewReader(doc)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/plan")
+			})
+		}
+	}
+}
