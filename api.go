@@ -346,10 +346,9 @@ type Options struct {
 	// every plan and StreamSet wired to it).
 	Buffers *BufferManager
 	// Parallel overrides how EngineFlux executes. The pipelined pass
-	// runs tokenization, DTD validation and evaluation as stages on
-	// separate goroutines connected by bounded batch rings, so the scan
-	// overlaps the evaluator; the sequential pass runs them on one
-	// goroutine. 0, the default, pipelines when GOMAXPROCS >= 2 and runs
+	// runs the validating scan on a goroutine of its own, a bounded
+	// batch ring ahead of evaluation, so the scan overlaps the
+	// evaluator; the sequential pass runs both on one goroutine. 0, the default, pipelines when GOMAXPROCS >= 2 and runs
 	// sequentially on one P; 1 (or any negative n) pins the sequential
 	// pass and any n >= 2 the pipeline (the number sets no worker
 	// count). Output is byte-identical either way. StreamSet passes have
@@ -645,8 +644,8 @@ func (p *Plan) ExecuteContext(ctx context.Context, r io.Reader, w io.Writer) (St
 // request id, a file name — anything that correlates it with its
 // caller); the trace's PassID matches Stats.PassID. For the flux engine
 // the tree breaks the pass into scan/eval spans (pipelined executions
-// add tokenize/validate stage spans with stall attribution and ring
-// high-water marks); the baseline engines report a root span only.
+// add a read stage span with stall attribution and the ring's
+// high-water mark); the baseline engines report a root span only.
 func (p *Plan) ExecuteTrace(r io.Reader, w io.Writer, id string) (Stats, *Trace, error) {
 	tr := telemetry.NewTrace(id)
 	st, err := p.execute(nil, r, w, tr)
@@ -885,9 +884,9 @@ func (s *StreamSet) SetBuffers(b *BufferManager) {
 }
 
 // SetParallel overrides how the set's shared passes execute. Any n >= 2
-// runs the staged pipeline — tokenize, validate and dispatch on separate
-// goroutines connected by bounded batch rings, each plan evaluating on
-// its own goroutine; the number sets no worker count. 1 pins the
+// runs the pipelined pass — the validating scan on its own goroutine, a
+// bounded batch ring ahead of dispatch, each plan evaluating on its own
+// goroutine; the number sets no worker count. 1 pins the
 // sequential single-goroutine pass, and so does a negative n, which the
 // pass reports as 1. 0, the default, runs the pipeline when GOMAXPROCS
 // >= 2 and the sequential pass on one P. Per-plan outputs are
@@ -1191,18 +1190,14 @@ type PassStats struct {
 	// Batches counts the non-empty validated event batches the pass took
 	// from its scan, sequential or pipelined, fanout or trie dispatch.
 	Batches int64
-	// TokenizeStall, ValidateStall and DispatchStall are the per-stage
-	// blocked times: the tokenizer on a full token ring (validation was
-	// the bottleneck), the validator on a full event ring (evaluation
-	// was the bottleneck), and the dispatcher waiting for a validated
-	// batch (the scan was the bottleneck).
-	TokenizeStall time.Duration
-	ValidateStall time.Duration
+	// ScanStall and DispatchStall are the two stages' blocked times: the
+	// validating reader on a full ring (evaluation was the bottleneck)
+	// and the dispatcher waiting for a validated batch (the scan was the
+	// bottleneck).
+	ScanStall     time.Duration
 	DispatchStall time.Duration
-	// TokenRingPeak and EventRingPeak are high-water occupancies of the
-	// two inter-stage rings.
-	TokenRingPeak int
-	EventRingPeak int
+	// RingPeak is the high-water occupancy of the ring between them.
+	RingPeak int
 }
 
 // LastPass returns the pipeline metrics of the most recent successfully
@@ -1212,11 +1207,9 @@ func (s *StreamSet) LastPass() PassStats {
 	return PassStats{
 		Parallel:      ps.Parallel,
 		Batches:       ps.Batches,
-		TokenizeStall: ps.TokenizeStall,
-		ValidateStall: ps.ValidateStall,
+		ScanStall:     ps.ScanStall,
 		DispatchStall: ps.DispatchStall,
-		TokenRingPeak: ps.TokenRingPeak,
-		EventRingPeak: ps.EventRingPeak,
+		RingPeak:      ps.RingPeak,
 	}
 }
 

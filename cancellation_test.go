@@ -410,7 +410,7 @@ func (h *matrixHarness) run(t *testing.T, site string) error {
 	case faultinj.SiteSpillWrite, faultinj.SiteSpillRead:
 		_, err := h.spill.Execute(bytes.NewReader(h.spillDoc), io.Discard)
 		return err
-	case faultinj.SiteRingToken, faultinj.SiteRingEvent:
+	case faultinj.SiteRingEvent:
 		for _, b := range h.ringOuts {
 			b.Reset()
 		}
@@ -438,7 +438,7 @@ func (h *matrixHarness) verifyClean(t *testing.T, site string) {
 		if out.String() != h.spillRef {
 			t.Error("clean rerun output differs from reference")
 		}
-	case faultinj.SiteRingToken, faultinj.SiteRingEvent:
+	case faultinj.SiteRingEvent:
 		for _, b := range h.ringOuts {
 			b.Reset()
 		}

@@ -26,7 +26,7 @@ func faultWorkload(site string) string {
 	switch site {
 	case faultinj.SiteSpillWrite, faultinj.SiteSpillRead:
 		return "spill"
-	case faultinj.SiteRingToken, faultinj.SiteRingEvent:
+	case faultinj.SiteRingEvent:
 		return "ring"
 	case faultinj.SiteBodyRead:
 		return "body"
@@ -41,8 +41,8 @@ type faultHarness struct {
 	// its natural peak, so every run writes and rehydrates segments.
 	spillPlan *fluxquery.Plan
 	spillDoc  []byte
-	// ring: a pipelined shared pass (tokenize/validate stages on their
-	// own goroutines), so both ring hand-offs run.
+	// ring: a pipelined shared pass (the validating reader on its own
+	// goroutine), so the ring hand-off runs.
 	ringSet *fluxquery.StreamSet
 	ringDoc []byte
 	// body: a plain pass whose input rides a faultinj.Reader at the

@@ -297,10 +297,9 @@ func run(o options) error {
 		fmt.Fprintf(os.Stderr, "shared-pass proj=%s passes=%d scan-delivered=%d scan-skipped=%d scan-subtrees=%d scan-bytes-skipped=%d\n",
 			o.projMode, sc.Passes, sc.EventsDelivered, sc.EventsSkipped, sc.SubtreesSkipped, sc.BytesSkipped)
 		if ps := set.LastPass(); ps.Parallel >= 2 {
-			fmt.Fprintf(os.Stderr, "shared-pass parallel=%d batches=%d tok-stall=%v val-stall=%v disp-stall=%v ring-peak=%d/%d\n",
-				ps.Parallel, ps.Batches,
-				ps.TokenizeStall.Round(time.Microsecond), ps.ValidateStall.Round(time.Microsecond),
-				ps.DispatchStall.Round(time.Microsecond), ps.TokenRingPeak, ps.EventRingPeak)
+			fmt.Fprintf(os.Stderr, "shared-pass parallel=%d batches=%d scan-stall=%v disp-stall=%v ring-peak=%d\n",
+				ps.Parallel, ps.Batches, ps.ScanStall.Round(time.Microsecond),
+				ps.DispatchStall.Round(time.Microsecond), ps.RingPeak)
 		}
 	}
 	return firstErr

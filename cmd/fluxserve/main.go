@@ -31,8 +31,8 @@
 // X-Request-Id and written to the structured stderr access log); with
 // ?trace=1 an /eval response additionally carries the shared pass's
 // span tree — scan and dispatch phases, one eval span per query, and
-// for a pipelined pass the tokenize/validate stage spans with stall
-// attribution and ring high-water marks — tagged with that request id.
+// for a pipelined pass the read stage span with stall attribution and
+// the ring's high-water mark — tagged with that request id.
 // GET /metrics exposes scan, pipeline, buffer-manager, ingest-pool and
 // HTTP series for scraping (plus flux_build_info and
 // flux_server_uptime_seconds); -debug-addr starts a second listener
@@ -92,9 +92,9 @@
 // and GET /stats gain a "dispatch" object with the trie size and
 // routing totals.
 //
-// When GOMAXPROCS >= 2, each /eval's shared pass runs pipelined:
-// tokenizer, validator and dispatcher on separate goroutines connected
-// by bounded batch rings, each plan evaluating on its own goroutine.
+// When GOMAXPROCS >= 2, each /eval's shared pass runs pipelined: the
+// validating reader on its own goroutine, a bounded batch ring ahead of
+// the dispatcher, each plan evaluating on its own goroutine.
 // GOMAXPROCS=1 selects the sequential single-goroutine pass;
 // there is no flag, GOMAXPROCS is the one control.
 //

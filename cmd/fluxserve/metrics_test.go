@@ -155,8 +155,8 @@ func TestMetricsExposition(t *testing.T) {
 		"flux_pass_seconds_count",
 		`flux_eval_batch_seconds_count{plan="q3"}`,
 		`flux_eval_batch_seconds_count{plan="titles"}`,
-		`flux_stage_stall_seconds_total{stage="tokenize"}`,
-		`flux_ring_peak_occupancy_count{ring="event"}`,
+		`flux_stage_stall_seconds_total{stage="scan"}`,
+		"flux_ring_peak_occupancy_count",
 		"flux_pool_inflight",
 		"flux_pool_capacity",
 		"flux_pool_rejected_total",

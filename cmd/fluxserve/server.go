@@ -138,11 +138,9 @@ type dispatchAgg struct {
 type pipelineAgg struct {
 	Passes              int64 `json:"passes"`
 	Batches             int64 `json:"batches"`
-	TokenizeStallMicros int64 `json:"tokenize_stall_us"`
-	ValidateStallMicros int64 `json:"validate_stall_us"`
+	ScanStallMicros     int64 `json:"scan_stall_us"`
 	DispatchStallMicros int64 `json:"dispatch_stall_us"`
-	TokenRingPeak       int   `json:"token_ring_peak"`
-	EventRingPeak       int   `json:"event_ring_peak"`
+	RingPeak            int   `json:"ring_peak"`
 }
 
 type entry struct {
@@ -615,22 +613,20 @@ type evalResponse struct {
 	Results  []evalResult  `json:"results"`
 	// Trace is the pass's span tree, present only with ?trace=1: the
 	// shared pass broken into scan and dispatch phases with one eval
-	// span per query, plus tokenize/validate stage spans (with stall
-	// attribution and ring high-water marks) for pipelined passes. The
+	// span per query, plus a read stage span (with stall attribution and
+	// the ring's high-water mark) for pipelined passes. The
 	// trace's id is the request's X-Request-Id.
 	Trace *fluxquery.Trace `json:"trace,omitempty"`
 }
 
 // passInfo is one pipelined pass: its Parallel setting, batches through
-// the rings, per-stage stall time and ring high-water marks.
+// the ring, per-stage stall time and the ring's high-water mark.
 type passInfo struct {
 	Parallel            int   `json:"parallel"`
 	Batches             int64 `json:"batches"`
-	TokenizeStallMicros int64 `json:"tokenize_stall_us"`
-	ValidateStallMicros int64 `json:"validate_stall_us"`
+	ScanStallMicros     int64 `json:"scan_stall_us"`
 	DispatchStallMicros int64 `json:"dispatch_stall_us"`
-	TokenRingPeak       int   `json:"token_ring_peak"`
-	EventRingPeak       int   `json:"event_ring_peak"`
+	RingPeak            int   `json:"ring_peak"`
 }
 
 // dispatchInfo is one trie-routed pass: trie snapshot size, routed
@@ -793,11 +789,9 @@ func (s *server) handleEval(w http.ResponseWriter, r *http.Request) {
 		resp.Pipeline = &passInfo{
 			Parallel:            ps.Parallel,
 			Batches:             ps.Batches,
-			TokenizeStallMicros: ps.TokenizeStall.Microseconds(),
-			ValidateStallMicros: ps.ValidateStall.Microseconds(),
+			ScanStallMicros:     ps.ScanStall.Microseconds(),
 			DispatchStallMicros: ps.DispatchStall.Microseconds(),
-			TokenRingPeak:       ps.TokenRingPeak,
-			EventRingPeak:       ps.EventRingPeak,
+			RingPeak:            ps.RingPeak,
 		}
 	}
 	if ds := set.LastDispatch(); ds.Mode == "trie" {
@@ -867,15 +861,9 @@ func (s *server) handleEval(w http.ResponseWriter, r *http.Request) {
 	if ps := set.LastPass(); ps.Parallel >= 2 {
 		s.pipeline.Passes++
 		s.pipeline.Batches += ps.Batches
-		s.pipeline.TokenizeStallMicros += ps.TokenizeStall.Microseconds()
-		s.pipeline.ValidateStallMicros += ps.ValidateStall.Microseconds()
+		s.pipeline.ScanStallMicros += ps.ScanStall.Microseconds()
 		s.pipeline.DispatchStallMicros += ps.DispatchStall.Microseconds()
-		if ps.TokenRingPeak > s.pipeline.TokenRingPeak {
-			s.pipeline.TokenRingPeak = ps.TokenRingPeak
-		}
-		if ps.EventRingPeak > s.pipeline.EventRingPeak {
-			s.pipeline.EventRingPeak = ps.EventRingPeak
-		}
+		s.pipeline.RingPeak = max(s.pipeline.RingPeak, ps.RingPeak)
 	}
 	if ds := set.LastDispatch(); ds.Mode == "trie" {
 		s.dispatchStats.Passes++

@@ -205,8 +205,7 @@ func render(w io.Writer, addr string, s *snapshot) {
 				name  string
 				stall time.Duration
 			}{
-				{"tokenize", last.TokenizeStall},
-				{"validate", last.ValidateStall},
+				{"scan", last.ScanStall},
 				{"dispatch", last.DispatchStall},
 				{"gate", last.GateStall},
 			} {

@@ -41,7 +41,7 @@ func fakeServe(t *testing.T, recorderOff bool) *httptest.Server {
 			"passes": [
 				{"pass_id": 42, "request_id": "req-latest", "start": "2026-08-08T10:00:02Z", "duration_ns": 1500000,
 				 "plans": 2, "input_bytes": 4096, "events": 900, "batches": 4, "mbps": 12.5,
-				 "tokenize_stall_ns": 100000, "validate_stall_ns": 50000},
+				 "scan_stall_ns": 100000, "dispatch_stall_ns": 50000},
 				{"pass_id": 41, "request_id": "req-slow", "start": "2026-08-08T10:00:01Z", "duration_ns": 2000000,
 				 "plans": 2, "input_bytes": 4096, "events": 900, "mbps": 9.0, "slow": true},
 				{"pass_id": 40, "request_id": "req-bad", "start": "2026-08-08T10:00:00Z", "duration_ns": 500000,
@@ -94,7 +94,7 @@ func TestOnceSnapshot(t *testing.T) {
 		"SLOW",
 		"ERR malformed document",
 		"(deadline)",
-		"tokenize",
+		"scan",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("snapshot lacks %q:\n%s", want, got)

@@ -311,6 +311,29 @@ func TestDTDStringRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDTDStringNestedRepetitions: a repetition applied to a repetition
+// renders with brackets, so String parses back to the same DTD.
+func TestDTDStringNestedRepetitions(t *testing.T) {
+	for _, model := range []string{"((a)*)*", "(a*)*", "((a)?)+", "((a,b)*)?", "(a,((b)*)+)"} {
+		src := "<!ELEMENT r " + model + ">\n<!ELEMENT a EMPTY>\n<!ELEMENT b EMPTY>\n"
+		d, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", model, err)
+		}
+		d2, err := Parse(d.String())
+		if err != nil {
+			t.Errorf("%s: String does not parse back: %v\n%s", model, err, d.String())
+			continue
+		}
+		if d2.String() != d.String() {
+			t.Errorf("%s: printing not a fixpoint:\n%s\nvs\n%s", model, d.String(), d2.String())
+		}
+		if got, want := d2.Elements["r"].Model.String(), d.Elements["r"].Model.String(); got != want {
+			t.Errorf("%s: reparsed model %s, want %s", model, got, want)
+		}
+	}
+}
+
 // --- Oracle-based property tests ---------------------------------------
 
 // matches is a Brzozowski-derivative matcher used as an independent oracle

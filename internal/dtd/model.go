@@ -95,7 +95,14 @@ func (m Choice) String() string {
 	return "(" + strings.Join(parts, "|") + ")"
 }
 
-func (m Rep) String() string { return m.Item.String() + string(m.Op) }
+// String brackets an item that is itself a repetition: a** would not
+// parse back, (a*)* does.
+func (m Rep) String() string {
+	if _, ok := m.Item.(Rep); ok {
+		return "(" + m.Item.String() + ")" + string(m.Op)
+	}
+	return m.Item.String() + string(m.Op)
+}
 
 func (PCData) String() string { return "(#PCDATA)" }
 

@@ -35,10 +35,8 @@ const (
 	SiteSpillRead = "spill.read"
 	// SiteBodyRead covers fluxserve request-body reads.
 	SiteBodyRead = "body.read"
-	// SiteRingToken covers the tokenizer→validator ring hand-off of the
-	// pipelined pass.
-	SiteRingToken = "ring.token"
-	// SiteRingEvent covers the validator→dispatcher ring hand-off.
+	// SiteRingEvent covers the pipelined pass's ring hand-off from the
+	// validating reader to the pass loop.
 	SiteRingEvent = "ring.event"
 )
 
@@ -118,7 +116,6 @@ var (
 		SiteSpillWrite: {},
 		SiteSpillRead:  {},
 		SiteBodyRead:   {},
-		SiteRingToken:  {},
 		SiteRingEvent:  {},
 	}
 )
@@ -291,7 +288,7 @@ func Cut(name string, n int) (int, error) {
 //	spill.write:error        fail every spill write
 //	spill.write:error:1      fail exactly one write (transient)
 //	body.read:latency:5ms    delay every body read by 5ms
-//	ring.token:shortwrite    torn hand-off on the token ring
+//	ring.event:shortwrite    torn hand-off on the pipelined pass's ring
 //
 // This is the grammar behind test env vars and fluxbench -fault.
 func ArmSpec(spec string) error {

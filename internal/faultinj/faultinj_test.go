@@ -72,11 +72,11 @@ func TestTimesBound(t *testing.T) {
 func TestLatencyFault(t *testing.T) {
 	Reset()
 	defer Reset()
-	if err := Arm(SiteRingToken, Fault{Mode: ModeLatency, Latency: 10 * time.Millisecond}); err != nil {
+	if err := Arm(SiteRingEvent, Fault{Mode: ModeLatency, Latency: 10 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if err := Hit(SiteRingToken); err != nil {
+	if err := Hit(SiteRingEvent); err != nil {
 		t.Fatalf("latency Hit errored: %v", err)
 	}
 	if d := time.Since(start); d < 10*time.Millisecond {
@@ -151,7 +151,7 @@ func TestReader(t *testing.T) {
 func TestSitesAndMetrics(t *testing.T) {
 	Reset()
 	defer Reset()
-	want := []string{SiteBodyRead, SiteRingEvent, SiteRingToken, SiteSpillRead, SiteSpillWrite}
+	want := []string{SiteBodyRead, SiteRingEvent, SiteSpillRead, SiteSpillWrite}
 	got := Sites()
 	if len(got) != len(want) {
 		t.Fatalf("Sites = %v", got)

@@ -66,16 +66,14 @@ type Record struct {
 	Batches    int64   `json:"batches"`
 	MBps       float64 `json:"mbps"`
 
-	// Per-stage stall breakdown: the pipeline stages blocked on their
-	// rings (zero for sequential passes) and the buffer-manager gate.
-	TokenizeStall time.Duration `json:"tokenize_stall_ns,omitempty"`
-	ValidateStall time.Duration `json:"validate_stall_ns,omitempty"`
+	// Per-stage stall breakdown: the two pipeline stages blocked on
+	// their ring (zero for sequential passes) and the buffer-manager
+	// gate.
+	ScanStall     time.Duration `json:"scan_stall_ns,omitempty"`
 	DispatchStall time.Duration `json:"dispatch_stall_ns,omitempty"`
 	GateStall     time.Duration `json:"gate_stall_ns,omitempty"`
-	// TokenRingPeak and EventRingPeak are ring high-water marks
-	// (pipelined passes only).
-	TokenRingPeak int `json:"token_ring_peak,omitempty"`
-	EventRingPeak int `json:"event_ring_peak,omitempty"`
+	// RingPeak is the ring's high-water mark (pipelined passes only).
+	RingPeak int `json:"ring_peak,omitempty"`
 
 	// TrieEvents and TrieDeliveries are the dispatch trie's routing
 	// totals (zero under plain fanout).
@@ -111,7 +109,7 @@ type Record struct {
 
 // TotalStall sums the record's stall attribution across stages.
 func (r *Record) TotalStall() time.Duration {
-	return r.TokenizeStall + r.ValidateStall + r.DispatchStall + r.GateStall
+	return r.ScanStall + r.DispatchStall + r.GateStall
 }
 
 // Config configures a Recorder.

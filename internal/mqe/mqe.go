@@ -29,8 +29,9 @@
 //  3. Interned data is exempt. Element names and *dtd.Element
 //     declarations are interned in the DTD and safe to retain forever;
 //     attribute names resolve through the scanner's symbol table, which
-//     consumers may read while they hold the batch (the scanner is idle
-//     until every consumer has acknowledged it).
+//     consumers may read while they hold the batch (the table publishes
+//     every new name atomically, so a reader stage scanning ahead never
+//     tears it).
 //
 // Zero-copy views therefore never cross a plan boundary un-copied: the
 // dispatcher's single batch copy replaces the N per-plan scans, and each
@@ -47,6 +48,7 @@ import (
 
 	"fluxquery/internal/bufmgr"
 	"fluxquery/internal/dtd"
+	"fluxquery/internal/faultinj"
 	"fluxquery/internal/proj"
 	"fluxquery/internal/shared"
 	"fluxquery/internal/xsax"
@@ -87,18 +89,18 @@ type Dispatcher struct {
 	Proj     *proj.Automaton
 	ProjMode proj.Mode
 	// Gate, when non-nil, is the pass's backpressure point: the
-	// dispatcher waits on it before tokenizing each batch, so under
+	// dispatcher waits on it before scanning each batch, so under
 	// bufmgr.PolicyBackpressure the whole shared pass throttles while
 	// the process is over budget and another pass can drain. The gate
 	// covers the pass, not individual consumers — blocking one consumer
 	// of a batch would deadlock against the siblings that could free
 	// memory only when fed.
 	Gate *bufmgr.Gate
-	// Parallel, when >= 2, runs passes in pipelined form: tokenize,
-	// validate and dispatch on separate goroutines connected by bounded
-	// batch rings (xsax.Pipeline). The value sets no worker count: the
-	// plans already evaluate on their own goroutines. Any value below 2
-	// is the sequential pass.
+	// Parallel, when >= 2, runs passes in pipelined form: the validating
+	// reader fills batches on its own goroutine, one bounded ring ahead
+	// of dispatch. The value sets no worker count: the plans already
+	// evaluate on their own goroutines. Any value below 2 is the
+	// sequential pass.
 	Parallel int
 	// Trie, when non-nil, replaces whole-batch fanout with trie-routed
 	// dispatch (see trie.go): each event resolves one trie node and is
@@ -147,14 +149,14 @@ const (
 // RunScanPass tokenizes and validates r exactly once, handing every
 // validated batch to consumers: the whole batch to every live consumer,
 // or trie-routed per-class batches when Trie is set. With Parallel >= 2
-// the scan runs pipelined (xsax.Pipeline), otherwise on the calling
-// goroutine. A consumer that terminates early is detached and the pass
-// continues for the others; the stream is scanned to its end, its first
-// error or cancellation, so a pass over zero consumers is a validation
-// pass. The returned error is the stream's — nil on a well-formed, valid
-// document — regardless of consumer failures, which each consumer
-// receives through its Close. The ScanStats report the pass's
-// projection (all zeros when Proj is nil).
+// the scan runs on a goroutine of its own, a ring ahead of the pass
+// loop, otherwise on the calling goroutine. A consumer that terminates
+// early is detached and the pass continues for the others; the stream is
+// scanned to its end, its first error or cancellation, so a pass over
+// zero consumers is a validation pass. The returned error is the
+// stream's — nil on a well-formed, valid document — regardless of
+// consumer failures, which each consumer receives through its Close. The
+// ScanStats report the pass's projection (all zeros when Proj is nil).
 //
 // This is the engine's one pass loop: Set runs it over the registered
 // plans, and a single-plan execution is a one-consumer pass of it.
@@ -196,16 +198,16 @@ func (d *Dispatcher) RunScanPass(r io.Reader, consumers []Consumer) (xsax.ScanSt
 		src.recycle()
 	}
 	// Close consumers (releasing their budget accounts) before joining
-	// the pipeline: the tokenizer stage may be parked in a gate wait
-	// that only drains when accounts release.
+	// the reader stage: it may be parked in a gate wait that only drains
+	// when accounts release.
 	snk.close(cause)
 	sc, ps := src.close()
 	ps.Batches = batches
 	if obs != nil {
-		// In a pipelined pass the "scan" time is the wait on the
-		// validated-batch ring — the stage goroutines overlap it, so child
-		// spans there describe concurrent work, not a partition of the
-		// wall clock (the sequential pass's spans do partition it).
+		// In a pipelined pass the "scan" time is the wait on the ring —
+		// the reader stage overlaps it, so its child span describes
+		// concurrent work, not a partition of the wall clock (the
+		// sequential pass's spans do partition it).
 		obs.Scan.AddTime(scanTime)
 		obs.Scan.AddStall(ps.DispatchStall)
 		obs.Dispatch.AddTime(dispTime)
@@ -218,30 +220,48 @@ func (d *Dispatcher) RunScanPass(r io.Reader, consumers []Consumer) (xsax.ScanSt
 	return sc, ps, cause
 }
 
-// batchSource supplies a pass's validated batches: a pooled reader
-// filling one owned batch per call (sequential), or the validated-batch
-// ring of an xsax.Pipeline (pipelined).
+// batchSource supplies a pass's validated batches. Both kinds run one
+// pooled projecting xsax.Reader through the same fill loop: a sequential
+// source fills its one batch on the pass loop's goroutine; a pipelined
+// source fills on its own producer goroutine (produce) and hands each
+// batch to the pass loop over a bounded ring — full carries filled
+// batches downstream, free returns them. The batch population is fixed
+// at defaultRingDepth+1, so a producer that outruns the plans blocks on
+// the full ring (backpressure) and a pass loop that outruns the scan
+// blocks on it empty; both blocked times are accounted as stalls.
 type batchSource struct {
-	// Sequential: the gate is waited on before each fill.
-	gate                *bufmgr.Gate
 	xr                  *xsax.Reader
-	b                   *xsax.Batch
+	gate                *bufmgr.Gate
 	maxEvents, maxBytes int
-	// Pipelined: vb is the ring batch handed out by the last next.
-	pl       *xsax.Pipeline
-	vb       *xsax.Batch
-	parallel int
+	// b is the batch the last next returned: the sequential source's one
+	// reused batch, or the ring batch the pass loop holds until recycle.
+	b *xsax.Batch
+
+	// Pipelined only (full is nil for a sequential source). err is the
+	// producer's terminal status, published by closing full; scanStall
+	// and peak are written by the producer and read after it has joined.
+	parallel   int
+	full, free chan *xsax.Batch
+	quit       chan struct{}
+	ctx        context.Context
+	ctxDone    <-chan struct{}
+	err        error
+	scanStall  time.Duration
+	dispStall  time.Duration
+	peak       int
 }
 
+// defaultRingDepth bounds the pipelined pass's ring, in batches: deep
+// enough that the reader runs on through a slow batch of evaluation,
+// shallow enough that the ring holds at most a few hundred KiB of
+// batch arena.
+const defaultRingDepth = 4
+
 // newSource opens the pass's batch source. Pipelined batches default to
-// 4x the sequential size: every batch pays two ring hand-offs plus one
-// feed rendezvous per plan, so larger batches amortize the coordination
+// 4x the sequential size: every batch pays a ring hand-off plus one feed
+// rendezvous per plan, so larger batches amortize the coordination
 // without changing delivery semantics. Explicit Dispatcher sizes win.
 func (d *Dispatcher) newSource(r io.Reader) *batchSource {
-	var pa *proj.Automaton
-	if d.ProjMode != proj.ModeOff {
-		pa = d.Proj
-	}
 	be, bb, scale := d.BatchEvents, d.BatchBytes, 1
 	if d.Parallel >= 2 {
 		scale = 4
@@ -252,31 +272,109 @@ func (d *Dispatcher) newSource(r io.Reader) *batchSource {
 	if bb <= 0 {
 		bb = scale * defaultBatchBytes
 	}
-	if d.Parallel >= 2 {
-		return &batchSource{parallel: d.Parallel, pl: xsax.NewPipeline(r, d.DTD, xsax.PipelineConfig{
-			BatchEvents: be,
-			BatchBytes:  bb,
-			Proj:        pa,
-			ProjMode:    d.ProjMode,
-			// The backpressure point moves into the tokenizer stage.
-			Throttle: d.Gate.Wait,
-			Ctx:      d.Ctx,
-		})}
-	}
 	xr := xsax.GetReader(r, d.DTD)
-	if pa != nil {
-		xr.SetProjection(pa, d.ProjMode)
+	xr.SetProjection(d.Proj, d.ProjMode)
+	s := &batchSource{xr: xr, gate: d.Gate, maxEvents: be, maxBytes: bb}
+	if d.Parallel < 2 {
+		s.b = xsax.GetBatch()
+		return s
 	}
-	return &batchSource{gate: d.Gate, xr: xr, b: xsax.GetBatch(), maxEvents: be, maxBytes: bb}
+	s.parallel = d.Parallel
+	s.full = make(chan *xsax.Batch, defaultRingDepth)
+	s.free = make(chan *xsax.Batch, defaultRingDepth+1)
+	for range defaultRingDepth + 1 {
+		s.free <- xsax.GetBatch()
+	}
+	s.quit = make(chan struct{})
+	if d.Ctx != nil {
+		s.ctx, s.ctxDone = d.Ctx, d.Ctx.Done()
+	}
+	go s.produce()
+	return s
+}
+
+// fill refills b from the reader up to the batch bounds. It returns the
+// stream's terminal status once the stream ends (io.EOF for a clean end);
+// b may then hold a last, partial batch.
+func (s *batchSource) fill(b *xsax.Batch) error {
+	b.Reset()
+	for b.Len() < s.maxEvents && b.ArenaBytes() < s.maxBytes {
+		ev, err := s.xr.NextEvent()
+		if err != nil {
+			return err
+		}
+		b.Append(ev)
+	}
+	return nil
+}
+
+// produce is a pipelined source's reader stage: it waits on the gate
+// (the pass's backpressure point) before each fill and sends every
+// non-empty batch into the ring, until the stream ends, a send fails or
+// close quits it. Closing full publishes err and joins the stage.
+func (s *batchSource) produce() {
+	defer close(s.full)
+	for {
+		var b *xsax.Batch
+		select {
+		case b = <-s.free:
+		case <-s.quit:
+			return
+		}
+		if err := s.gate.Wait(); err != nil {
+			s.err = err
+			xsax.PutBatch(b)
+			return
+		}
+		err := s.fill(b)
+		if b.Len() > 0 {
+			if !s.send(b) {
+				return
+			}
+		} else {
+			s.free <- b
+		}
+		if err != nil {
+			s.err = err
+			return
+		}
+	}
+}
+
+// send hands a filled batch to the pass loop, accounting blocked time as
+// the scan stall. It reports false when the pass was abandoned or an
+// injected ring fault dropped the hand-off (the fault becomes the pass's
+// terminal error).
+func (s *batchSource) send(b *xsax.Batch) bool {
+	if err := faultinj.Hit(faultinj.SiteRingEvent); err != nil {
+		s.err = err
+		xsax.PutBatch(b)
+		return false
+	}
+	select {
+	case s.full <- b:
+	default:
+		start := time.Now()
+		select {
+		case s.full <- b:
+			s.scanStall += time.Since(start)
+		case <-s.quit:
+			xsax.PutBatch(b)
+			return false
+		}
+	}
+	if n := len(s.full); n > s.peak {
+		s.peak = n
+	}
+	return true
 }
 
 // throttle is the sequential pass's backpressure point: under
 // bufmgr.PolicyBackpressure the gate blocks the scan while the process
 // is over budget and another pass can still drain; a bound gate also
-// unparks on cancellation. A pipelined pass throttles in its tokenizer
-// stage instead.
+// unparks on cancellation. A pipelined pass throttles in produce.
 func (s *batchSource) throttle() error {
-	if s.pl != nil {
+	if s.full != nil {
 		return nil
 	}
 	return s.gate.Wait()
@@ -284,54 +382,69 @@ func (s *batchSource) throttle() error {
 
 // next returns the next batch of validated events, with the stream's
 // terminal status once it ends (io.EOF for a clean end). A sequential
-// source may return a last, partial batch alongside the error. The
+// source may return a last, partial batch alongside the error; a
+// pipelined one returns its last batch first and the status on the next
+// call, or the context's error as soon as the pass is cancelled. The
 // events are valid until recycle.
 func (s *batchSource) next() ([]xsax.Event, error) {
-	if s.pl != nil {
-		vb, err := s.pl.Next()
-		if err != nil {
-			return nil, err
-		}
-		s.vb = vb
-		return vb.Events, nil
+	if s.full == nil {
+		err := s.fill(s.b)
+		return s.b.Events, err
 	}
-	s.b.Reset()
-	for s.b.Len() < s.maxEvents && s.b.ArenaBytes() < s.maxBytes {
-		ev, err := s.xr.NextEvent()
-		if err != nil {
-			return s.b.Events, err
+	var ok bool
+	select {
+	case s.b, ok = <-s.full:
+	default:
+		start := time.Now()
+		select {
+		case s.b, ok = <-s.full:
+		case <-s.ctxDone:
+			s.dispStall += time.Since(start)
+			return nil, s.ctx.Err()
 		}
-		s.b.Append(ev)
+		s.dispStall += time.Since(start)
+	}
+	if !ok {
+		return nil, s.err
 	}
 	return s.b.Events, nil
 }
 
-// recycle releases the batch the last next returned.
+// recycle releases the batch the last next returned. A pipelined
+// source's free ring has room for the whole population, so the send
+// never blocks.
 func (s *batchSource) recycle() {
-	if s.vb != nil {
-		s.pl.Recycle(s.vb)
-		s.vb = nil
+	if s.full != nil && s.b != nil {
+		s.free <- s.b
+		s.b = nil
 	}
 }
 
 // close ends the source, returning the pass's scan statistics and, for a
-// pipelined pass, its stage metrics.
+// pipelined pass, its stage metrics. A pipelined source first quits and
+// joins its producer: draining full until the producer closes it.
 func (s *batchSource) close() (xsax.ScanStats, PassStats) {
-	if s.pl != nil {
-		sc, pps, _ := s.pl.Close()
-		return sc, PassStats{
-			Parallel:      s.parallel,
-			TokenizeStall: pps.TokStall,
-			ValidateStall: pps.ValStall,
-			DispatchStall: pps.DispStall,
-			TokenRingPeak: pps.TokRingPeak,
-			EventRingPeak: pps.ValRingPeak,
+	var ps PassStats
+	if s.full != nil {
+		close(s.quit)
+		for b := range s.full {
+			xsax.PutBatch(b)
 		}
+		for len(s.free) > 0 {
+			xsax.PutBatch(<-s.free)
+		}
+		ps = PassStats{
+			Parallel:      s.parallel,
+			ScanStall:     s.scanStall,
+			DispatchStall: s.dispStall,
+			RingPeak:      s.peak,
+		}
+	} else {
+		xsax.PutBatch(s.b)
 	}
 	sc := s.xr.ScanStats()
-	xsax.PutBatch(s.b)
 	xsax.PutReader(s.xr)
-	return sc, PassStats{}
+	return sc, ps
 }
 
 // sink is a pass's delivery side: whole-batch fanout or trie routing.

@@ -10,10 +10,10 @@ import (
 )
 
 // This file holds the Parallel setting's resolution and the feed step
-// every pass shares. In a pipelined pass the tokenize and validate stages
-// run on their own goroutines (see xsax.Pipeline) and the pass loop
-// becomes the third stage, pulling validated batches off the event ring;
-// sequential or pipelined, each batch reaches the plans through feedAll.
+// every pass shares. In a pipelined pass the validating reader runs on
+// its own goroutine (see batchSource) and the pass loop becomes the
+// second stage, pulling validated batches off the ring; sequential or
+// pipelined, each batch reaches the plans through feedAll.
 // Every plan already evaluates on its own goroutine, so the loop only
 // begins each plan's feed and then collects the acknowledgements: a plan
 // never sees batch k+1 before it acknowledged batch k, and the batch
@@ -49,13 +49,12 @@ type PassStats struct {
 	// from its source, in every pass kind, whether or not a consumer was
 	// still live. Trie flushes are counted in DispatchStats.Flushes.
 	Batches int64
-	// TokenizeStall, ValidateStall and DispatchStall are the per-stage
-	// blocked times: the tokenizer waiting on a full token ring, the
-	// validator waiting on a full event ring, and the dispatcher waiting
-	// for a validated batch.
-	TokenizeStall, ValidateStall, DispatchStall time.Duration
-	// TokenRingPeak and EventRingPeak are high-water ring occupancies.
-	TokenRingPeak, EventRingPeak int
+	// ScanStall and DispatchStall are the two stages' blocked times: the
+	// reader waiting on a full ring (the plans were the bottleneck) and
+	// the pass loop waiting for a validated batch (the scan was).
+	ScanStall, DispatchStall time.Duration
+	// RingPeak is the ring's high-water occupancy, observed at send.
+	RingPeak int
 }
 
 // feedResult is one task's outcome of one feed step: whether it

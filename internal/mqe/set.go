@@ -627,12 +627,10 @@ func (s *Set) RunContext(ctx context.Context, r io.Reader) error {
 			InputBytes:     sc.BytesRead,
 			Events:         obs.Events,
 			Batches:        obs.Batches,
-			TokenizeStall:  ps.TokenizeStall,
-			ValidateStall:  ps.ValidateStall,
+			ScanStall:      ps.ScanStall,
 			DispatchStall:  ps.DispatchStall,
 			GateStall:      stall,
-			TokenRingPeak:  ps.TokenRingPeak,
-			EventRingPeak:  ps.EventRingPeak,
+			RingPeak:       ps.RingPeak,
 			TrieEvents:     ds.Events,
 			TrieDeliveries: ds.Deliveries,
 			FaultHits:      faultinj.TotalInjected() - faults0,
@@ -677,19 +675,16 @@ func (o *PassObs) evalSpan(name string) *telemetry.Span {
 }
 
 // StampTrace finishes and ends a pass's span tree: the pass's gate stall
-// on the root, data flow on the scan span and, for a pipelined pass,
-// tokenize and validate children with their stage stalls and ring peaks.
+// on the root, data flow on the scan span and, for a pipelined pass, a
+// read child with the reader stage's stall and the ring's peak.
 func (obs *PassObs) StampTrace(tr *telemetry.Trace, sc xsax.ScanStats, ps PassStats, stall time.Duration) {
 	tr.Span().AddStall(stall)
 	obs.Scan.AddBytes(sc.BytesRead)
 	obs.Scan.AddEvents(obs.Events)
 	if ps.Parallel >= 2 {
-		tok := obs.Scan.Child("tokenize")
-		tok.AddStall(ps.TokenizeStall)
-		tok.SetRingPeak(ps.TokenRingPeak)
-		val := obs.Scan.Child("validate")
-		val.AddStall(ps.ValidateStall)
-		val.SetRingPeak(ps.EventRingPeak)
+		rd := obs.Scan.Child("read")
+		rd.AddStall(ps.ScanStall)
+		rd.SetRingPeak(ps.RingPeak)
 	}
 	tr.End()
 }
@@ -705,11 +700,9 @@ func (s *Set) recordPass(mt *setMetrics, obs *PassObs, sc xsax.ScanStats, ps Pas
 	mt.passBytes.Observe(sc.BytesRead)
 	mt.stallGate.Add(stall.Nanoseconds())
 	if ps.Parallel >= 2 {
-		mt.stallTokenize.Add(ps.TokenizeStall.Nanoseconds())
-		mt.stallValidate.Add(ps.ValidateStall.Nanoseconds())
+		mt.stallScan.Add(ps.ScanStall.Nanoseconds())
 		mt.stallDispatch.Add(ps.DispatchStall.Nanoseconds())
-		mt.ringToken.Observe(int64(ps.TokenRingPeak))
-		mt.ringEvent.Observe(int64(ps.EventRingPeak))
+		mt.ringPeak.Observe(int64(ps.RingPeak))
 	}
 }
 

@@ -25,13 +25,11 @@ type setMetrics struct {
 	passSeconds *telemetry.Histogram
 	passBytes   *telemetry.Histogram
 
-	stallTokenize *telemetry.Counter
-	stallValidate *telemetry.Counter
+	stallScan     *telemetry.Counter
 	stallDispatch *telemetry.Counter
 	stallGate     *telemetry.Counter
 
-	ringToken *telemetry.Histogram
-	ringEvent *telemetry.Histogram
+	ringPeak *telemetry.Histogram
 
 	trieNodes      *telemetry.Gauge
 	trieLists      *telemetry.Gauge
@@ -47,7 +45,6 @@ func newSetMetrics(reg *telemetry.Registry) *setMetrics {
 		return nil
 	}
 	const stallHelp = "Cumulative time a pass stage spent blocked, by stage."
-	const ringHelp = "Per-pass high-water ring occupancy, by ring (pipelined passes)."
 	return &setMetrics{
 		reg: reg,
 		passes: reg.Counter("flux_scan_passes_total",
@@ -64,18 +61,15 @@ func newSetMetrics(reg *telemetry.Registry) *setMetrics {
 		passBytes: reg.Histogram("flux_pass_input_bytes",
 			"Raw input size of one shared scan pass.",
 			telemetry.SizeBuckets, telemetry.ScaleNone),
-		stallTokenize: reg.CounterScaled("flux_stage_stall_seconds_total", stallHelp,
-			telemetry.ScaleNanos, telemetry.L("stage", "tokenize")),
-		stallValidate: reg.CounterScaled("flux_stage_stall_seconds_total", stallHelp,
-			telemetry.ScaleNanos, telemetry.L("stage", "validate")),
+		stallScan: reg.CounterScaled("flux_stage_stall_seconds_total", stallHelp,
+			telemetry.ScaleNanos, telemetry.L("stage", "scan")),
 		stallDispatch: reg.CounterScaled("flux_stage_stall_seconds_total", stallHelp,
 			telemetry.ScaleNanos, telemetry.L("stage", "dispatch")),
 		stallGate: reg.CounterScaled("flux_stage_stall_seconds_total", stallHelp,
 			telemetry.ScaleNanos, telemetry.L("stage", "gate")),
-		ringToken: reg.Histogram("flux_ring_peak_occupancy", ringHelp,
-			telemetry.OccupancyBuckets, telemetry.ScaleNone, telemetry.L("ring", "token")),
-		ringEvent: reg.Histogram("flux_ring_peak_occupancy", ringHelp,
-			telemetry.OccupancyBuckets, telemetry.ScaleNone, telemetry.L("ring", "event")),
+		ringPeak: reg.Histogram("flux_ring_peak_occupancy",
+			"Per-pass high-water occupancy of the reader ring (pipelined passes).",
+			telemetry.OccupancyBuckets, telemetry.ScaleNone),
 		trieNodes: reg.Gauge("flux_trie_nodes",
 			"Interned product nodes in the current dispatch trie."),
 		trieLists: reg.Gauge("flux_trie_fanout_lists",
@@ -154,13 +148,13 @@ func (mt *setMetrics) evalSeconds(plan string) *telemetry.Histogram {
 // partially populated PassObs (metrics without tracing) works unchanged.
 //
 // Span ownership: Scan and Dispatch are written by the goroutine driving
-// the pass loop. In a pipelined pass, stage attribution (tokenize and
-// validate stall, ring peaks) is stamped onto child spans only after the
-// stage goroutines have joined.
+// the pass loop. In a pipelined pass, the reader stage's attribution
+// (its stall, the ring peak) is stamped onto a child span only after the
+// stage has joined.
 type PassObs struct {
 	// Scan accrues time spent taking batches from the pass's source
-	// (sequential: the batch fill loop; pipelined: waiting on the
-	// validated-batch ring, i.e. the dispatch stall). Dispatch accrues
+	// (sequential: the batch fill loop; pipelined: waiting on the ring,
+	// i.e. the dispatch stall). Dispatch accrues
 	// the delivery side: fan-out (or trie routing and flushes) plus
 	// slowest-consumer acknowledgement time.
 	Scan, Dispatch *telemetry.Span

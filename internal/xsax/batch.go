@@ -28,10 +28,6 @@ type Batch struct {
 	arena []byte
 	// attrs backs the Attrs slices of Events.
 	attrs []xmltok.AttrBytes
-	// src, when non-nil, is the raw token batch whose arena this batch's
-	// events alias (pipelined passes validate without re-copying); the
-	// pair is recycled together by Pipeline.Recycle.
-	src *TokBatch
 }
 
 // Reset empties the batch, retaining its storage. It invalidates every
@@ -40,13 +36,7 @@ func (b *Batch) Reset() {
 	b.Events = b.Events[:0]
 	b.arena = b.arena[:0]
 	b.attrs = b.attrs[:0]
-	b.src = nil
 }
-
-// appendDirect appends an already-owned event without copying into the
-// arena; the pipelined validator uses it because its event views alias
-// the TokBatch recycled together with this batch.
-func (b *Batch) appendDirect(e Event) { b.Events = append(b.Events, e) }
 
 // Len returns the number of buffered events.
 func (b *Batch) Len() int { return len(b.Events) }
@@ -57,9 +47,9 @@ func (b *Batch) ArenaBytes() int { return len(b.arena) }
 
 // Append copies ev into the batch. The copy is deep with respect to
 // scanner-owned memory (Data, attribute names and values) and shallow for
-// interned data (Name, Elem, the symbol-table reference — the scanner is
-// idle while consumers hold the batch, so resolving symbols through it is
-// safe).
+// interned data (Name, Elem, the symbol-table reference — the table
+// publishes new names atomically, so resolving symbols through it is safe
+// while the scanner runs ahead).
 func (b *Batch) Append(ev *Event) {
 	e := Event{Kind: ev.Kind, Name: ev.Name, Elem: ev.Elem, tab: ev.tab}
 	if len(ev.Data) > 0 {

@@ -7,13 +7,10 @@ import (
 	"fluxquery/internal/xmltok"
 )
 
-// vcore is the DTD-validation state machine shared by the sequential
-// Reader and the pipelined pass's validator stage: the open-element
+// vcore is the Reader's DTD-validation state machine: the open-element
 // stack, the content-model stepping, the attribute checks and the
 // sym→declaration binding. Its methods return errors without position
-// information; callers wrap them with the line number of their event
-// source (the Reader's live scanner, or the line a TokEvent carried
-// across the ring).
+// information; the Reader wraps them with its scanner's current line.
 type vcore struct {
 	d       *dtd.DTD
 	stack   []frame
@@ -113,15 +110,6 @@ func (v *vcore) end(sym xmltok.Sym, name []byte) (*dtd.Element, error) {
 	}
 	v.stack = v.stack[:len(v.stack)-1]
 	return f.elem, nil
-}
-
-// popShell pops the innermost frame without the accepting-state check:
-// the end tag of a bulk-skipped subtree, whose interior was never
-// validated, so the content model cannot be checked.
-func (v *vcore) popShell() *dtd.Element {
-	f := v.stack[len(v.stack)-1]
-	v.stack = v.stack[:len(v.stack)-1]
-	return f.elem
 }
 
 // text classifies a text event: deliver it, drop it (insignificant

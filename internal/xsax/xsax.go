@@ -1,23 +1,19 @@
 // Package xsax implements the paper's XSAX parser (§3.2): a validating
 // streaming XML parser that runs the DTD's content-model automata while
-// scanning and can inject "on-first" events — notifications that, at the
-// current position of the stream, no further child with a label from a
-// registered set can occur inside the enclosing element.
-//
-// Two interfaces are provided. Reader is a validating pull reader used by
-// the runtime's streamed query evaluator; it exposes the automaton state
-// of every open element so the evaluator can decide past(S) questions
-// itself. Parser is the push (SAX-style) form described in the paper: the
-// DTD and the on-first triggers are registered up front, and the parser
-// inserts First events among the conventional start/end/text events.
+// scanning. Reader is the validating pull reader every pass runs, with
+// the optional projection automaton (SetProjection) that prunes
+// irrelevant subtrees into start/end shells. The paper's on-first events
+// are decided above it: the runtime steps each open element's
+// content-model automaton over the delivered children and fires an
+// on-first handler once the DTD's past(S) holds.
 //
 // Reader is event-based and zero-copy: NextEvent validates the underlying
 // tokenizer event and returns it with the element name resolved to the
 // DTD's interned declaration name, so consumers dispatch on strings
 // without allocating. Event data and attribute views are only valid until
-// the next call; consumers copy exactly at the points where the buffer
-// description forest says data must survive. The Token-returning Next is
-// a copying adapter kept for convenience and tests.
+// the next call; a Batch copies them into owned memory, and consumers
+// copy exactly at the points where the buffer description forest says
+// data must survive.
 package xsax
 
 import (
@@ -57,9 +53,9 @@ type Event struct {
 	Attrs []xmltok.AttrBytes
 	// tab resolves attribute-name symbols to owned strings after the
 	// byte views have been invalidated; it points at the producing
-	// scanner's symbol table, which is safe to read whenever the scanner
-	// is idle (the batch rendezvous guarantees that for fanned-out
-	// events).
+	// scanner's symbol table, which publishes every new name atomically,
+	// so consumers may read it while the scanner interns ahead (see
+	// xmltok.SymTab).
 	tab *xmltok.SymTab
 }
 
@@ -120,10 +116,8 @@ type ScanStats struct {
 type Reader struct {
 	sc *xmltok.Scanner
 	// vcore holds the validation state machine (open-element stack,
-	// content-model stepping, sym→declaration binding); it is shared
-	// with the pipelined pass's validator stage.
+	// content-model stepping, sym→declaration binding).
 	vcore
-	attrbuf []xmltok.Attr
 	// ev is the reader-owned event returned by NextEvent; setEvent
 	// overwrites it with direct field stores (a struct-literal assignment
 	// would duffcopy the whole Event per delivered event).
@@ -215,41 +209,6 @@ func GetReader(rd io.Reader, d *dtd.DTD) *Reader {
 
 // PutReader returns a Reader obtained from GetReader to the pool.
 func PutReader(r *Reader) { readerPool.Put(r) }
-
-// Depth returns the number of currently open elements.
-func (r *Reader) Depth() int { return len(r.stack) }
-
-// Element returns the declaration of the innermost open element, or nil at
-// document level.
-func (r *Reader) Element() *dtd.Element {
-	if len(r.stack) == 0 {
-		return nil
-	}
-	return r.stack[len(r.stack)-1].elem
-}
-
-// State returns the content-model automaton state of the innermost open
-// element, or -1 at document level.
-func (r *Reader) State() int {
-	if len(r.stack) == 0 {
-		return -1
-	}
-	return r.stack[len(r.stack)-1].state
-}
-
-// Past reports whether, at the current position inside the innermost open
-// element, no further child labeled in set can occur (the on-first firing
-// condition).
-func (r *Reader) Past(set []string) bool {
-	if len(r.stack) == 0 {
-		return false
-	}
-	f := &r.stack[len(r.stack)-1]
-	return f.elem.Automaton().Past(f.state, set)
-}
-
-// Line returns the scanner's current line for error reporting.
-func (r *Reader) Line() int { return r.sc.Line() }
 
 // NextEvent returns the next validated event in zero-copy form. Comments,
 // processing instructions and directives are passed through unvalidated.
@@ -374,21 +333,6 @@ func (r *Reader) nextCore() (*Event, error) {
 	}
 }
 
-// Next returns the next validated token with owned strings. It is the
-// copying adapter over NextEvent; the Attrs slice is reused across calls.
-func (r *Reader) Next() (xmltok.Token, error) {
-	ev, err := r.NextEvent()
-	if err != nil {
-		return xmltok.Token{}, err
-	}
-	t := xmltok.Token{Kind: ev.Kind, Name: ev.Name, Data: string(ev.Data)}
-	if len(ev.Attrs) > 0 {
-		r.attrbuf = ev.AppendOwnedAttrs(r.attrbuf[:0])
-		t.Attrs = r.attrbuf
-	}
-	return t, nil
-}
-
 func (r *Reader) errf(format string, args ...any) error {
 	return fmt.Errorf("xsax: line %d: %s", r.sc.Line(), fmt.Sprintf(format, args...))
 }
@@ -408,22 +352,6 @@ func (r *Reader) endElement(tok *xmltok.Event) (*Event, error) {
 		return nil, r.errf("%s", err)
 	}
 	return r.setEvent(xmltok.EndElement, e.Name, e, nil, nil, nil), nil
-}
-
-// Skip consumes and validates the remainder of the innermost open
-// element's subtree, including its end tag. It is the evaluator's "ignore
-// this child" fast path.
-func (r *Reader) Skip() error {
-	depth := len(r.stack)
-	for len(r.stack) >= depth {
-		if _, err := r.NextEvent(); err != nil {
-			if err == io.EOF {
-				return r.errf("unexpected EOF while skipping")
-			}
-			return err
-		}
-	}
-	return nil
 }
 
 // Validate reads the whole stream and returns the first validation error,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fluxquery/internal/dtd"
+	"fluxquery/internal/proj"
 	"fluxquery/internal/xmltok"
 )
 
@@ -63,14 +64,14 @@ func TestWhitespaceInElementContentDropped(t *testing.T) {
 	r := NewReader(strings.NewReader("<bib>\n  <book>\n    <title>T</title>\n  </book>\n</bib>"), d)
 	var kinds []xmltok.Kind
 	for {
-		tok, err := r.Next()
+		ev, err := r.NextEvent()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		kinds = append(kinds, tok.Kind)
+		kinds = append(kinds, ev.Kind)
 	}
 	// No Text tokens except inside title.
 	want := []xmltok.Kind{
@@ -87,179 +88,125 @@ func TestWhitespaceInElementContentDropped(t *testing.T) {
 	}
 }
 
+// past reports whether, at the reader's current position inside the
+// innermost open element, no further child labeled in set can occur: the
+// paper's past() (on-first) condition over the validator's state.
+func past(r *Reader, set []string) bool {
+	f := &r.stack[len(r.stack)-1]
+	return f.elem.Automaton().Past(f.state, set)
+}
+
+// nextEvent returns the reader's next event, failing the test on error.
+func nextEvent(t *testing.T, r *Reader) *Event {
+	t.Helper()
+	ev, err := r.NextEvent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev
+}
+
+// TestReaderPast reproduces the paper's Figure 1 scenario on the reader's
+// content-model state: under the strong DTD, past(title) holds right
+// after the title child, and past(author,editor) once the publisher
+// child has advanced the state.
 func TestReaderPast(t *testing.T) {
 	d := dtd.MustParse(strongBib)
 	doc := `<bib><book><title>T</title><author>A</author><publisher>P</publisher><price>9</price></book></bib>`
 	r := NewReader(strings.NewReader(doc), d)
-	// Track Past(title) transitions within book.
-	next := func() xmltok.Token {
-		t.Helper()
-		tok, err := r.Next()
-		if err != nil {
-			t.Fatal(err)
+	skip := func(n int) {
+		for i := 0; i < n; i++ {
+			nextEvent(t, r)
 		}
-		return tok
 	}
-	next() // <bib>
-	next() // <book>
-	if r.Past([]string{"title"}) {
+	skip(2) // <bib> <book>
+	if past(r, []string{"title"}) {
 		t.Error("at book start, title still possible")
 	}
-	next() // <title>
-	next() // T
-	next() // </title>
-	if !r.Past([]string{"title"}) {
+	skip(3) // <title> T </title>
+	if !past(r, []string{"title"}) {
 		t.Error("after title, no more titles under strong DTD")
 	}
-	if r.Past([]string{"author", "editor"}) {
+	if past(r, []string{"author", "editor"}) {
 		t.Error("authors still possible after title")
 	}
-	next() // <author>
-	next() // A
-	next() // </author>
-	if r.Past([]string{"author"}) {
+	skip(3) // <author> A </author>
+	if past(r, []string{"author"}) {
 		t.Error("more authors possible (author+)")
 	}
-	next() // <publisher>
-	next() // P
-	next() // </publisher>
-	if !r.Past([]string{"author", "editor"}) {
+	skip(3) // <publisher> P </publisher>
+	if !past(r, []string{"author", "editor"}) {
 		t.Error("after publisher, author/editor are past")
 	}
 }
 
+// TestReaderSkip: a subtree the projection prunes is skipped whole in
+// both modes — the event after its shell start is its own end tag, and
+// the next is the following sibling's start.
 func TestReaderSkip(t *testing.T) {
 	d := dtd.MustParse(strongBib)
 	doc := `<bib><book><title>T</title><author>A</author><publisher>P</publisher><price>9</price></book><book><title>U</title><editor>E</editor><publisher>P</publisher><price>1</price></book></bib>`
-	r := NewReader(strings.NewReader(doc), d)
-	mustNext := func() xmltok.Token {
-		t.Helper()
-		tok, err := r.Next()
-		if err != nil {
-			t.Fatal(err)
+	ps := proj.NewPathSet()
+	ps.Root.Child("bib")
+	for _, mode := range []proj.Mode{proj.ModeFast, proj.ModeValidate} {
+		r := NewReader(strings.NewReader(doc), d)
+		r.SetProjection(proj.Compile(ps), mode)
+		nextEvent(t, r) // <bib>
+		var got []string
+		for i := 0; i < 3; i++ {
+			ev := nextEvent(t, r)
+			got = append(got, fmt.Sprintf("%v:%s", ev.Kind, ev.Name))
 		}
-		return tok
-	}
-	mustNext() // <bib>
-	tok := mustNext()
-	if tok.Kind != xmltok.StartElement || tok.Name != "book" {
-		t.Fatalf("expected first book, got %+v", tok)
-	}
-	if err := r.Skip(); err != nil { // skip rest of book 1
-		t.Fatal(err)
-	}
-	tok = mustNext()
-	if tok.Kind != xmltok.StartElement || tok.Name != "book" {
-		t.Fatalf("after skip, expected second book, got %+v", tok)
+		want := []string{
+			fmt.Sprintf("%v:book", xmltok.StartElement),
+			fmt.Sprintf("%v:book", xmltok.EndElement),
+			fmt.Sprintf("%v:book", xmltok.StartElement),
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("mode %v: events %v, want %v", mode, got, want)
+		}
 	}
 }
 
-// recorder logs events for push-parser tests.
-type recorder struct {
-	events []string
-	failOn string
-}
-
-func (rec *recorder) StartElement(name string, attrs []xmltok.Attr) error {
-	rec.events = append(rec.events, "<"+name+">")
-	if rec.failOn == "<"+name+">" {
-		return fmt.Errorf("handler failure at %s", name)
-	}
-	return nil
-}
-
-func (rec *recorder) EndElement(name string) error {
-	rec.events = append(rec.events, "</"+name+">")
-	return nil
-}
-
-func (rec *recorder) Text(data string) error {
-	rec.events = append(rec.events, "text:"+data)
-	return nil
-}
-
-func (rec *recorder) First(id int) error {
-	rec.events = append(rec.events, fmt.Sprintf("first:%d", id))
-	return nil
-}
-
-// TestParserOnFirstStrongDTD reproduces the paper's Figure 1 scenario: with
-// the strong DTD, past(title) fires right after the title child, and
-// past(author,editor) fires after the publisher starts... i.e. after the
-// last author/editor completes and the publisher child advances the state.
-func TestParserOnFirstStrongDTD(t *testing.T) {
+// TestSkipValidatesWhileSkipping: in validate mode a pruned subtree's
+// interior is still stepped through its content model, so a child out
+// of order inside it (editor after author) is reported.
+func TestSkipValidatesWhileSkipping(t *testing.T) {
 	d := dtd.MustParse(strongBib)
-	rec := &recorder{}
-	p := NewParser(d, rec, []Trigger{
-		{Element: "book", Past: []string{"title"}},
-		{Element: "book", Past: []string{"author", "editor"}},
-	})
-	doc := `<bib><book><title>T</title><author>A1</author><author>A2</author><publisher>P</publisher><price>9</price></book></bib>`
-	if err := p.Parse(strings.NewReader(doc)); err != nil {
-		t.Fatal(err)
+	doc := `<bib><book><title>T</title><author>A</author><editor>E</editor><publisher>P</publisher><price>9</price></book></bib>`
+	ps := proj.NewPathSet()
+	ps.Root.Child("bib")
+	r := NewReader(strings.NewReader(doc), d)
+	r.SetProjection(proj.Compile(ps), proj.ModeValidate)
+	var err error
+	for err == nil {
+		_, err = r.NextEvent()
 	}
-	got := strings.Join(rec.events, " ")
-	want := "<bib> <book> <title> text:T </title> first:0 <author> text:A1 </author> <author> text:A2 </author> <publisher> text:P </publisher> first:1 <price> text:9 </price> </book> </bib>"
-	if got != want {
-		t.Errorf("event stream:\n got: %s\nwant: %s", got, want)
+	if err == io.EOF {
+		t.Error("invalid content inside a pruned subtree accepted")
 	}
 }
 
-// TestParserOnFirstWeakDTD: with the weak DTD, past(title,author) can only
-// fire at the closing book tag (the paper's §2 discussion).
-func TestParserOnFirstWeakDTD(t *testing.T) {
-	d := dtd.MustParse(weakBib)
-	rec := &recorder{}
-	p := NewParser(d, rec, []Trigger{{Element: "book", Past: []string{"title", "author"}}})
-	doc := `<bib><book><author>A</author><title>T</title></book></bib>`
-	if err := p.Parse(strings.NewReader(doc)); err != nil {
-		t.Fatal(err)
+// TestAnyContentModel: ANY elements accept any declared children and
+// text, and past() over ANY never holds inside the element (its
+// children stay possible until the end tag).
+func TestAnyContentModel(t *testing.T) {
+	d := dtd.MustParse(`
+<!ELEMENT box ANY>
+<!ELEMENT item (#PCDATA)>
+`)
+	if err := Validate(strings.NewReader(`<box>text<item>i</item><box><item>j</item></box></box>`), d); err != nil {
+		t.Fatalf("ANY document rejected: %v", err)
 	}
-	got := strings.Join(rec.events, " ")
-	want := "<bib> <book> <author> text:A </author> <title> text:T </title> first:0 </book> </bib>"
-	if got != want {
-		t.Errorf("event stream:\n got: %s\nwant: %s", got, want)
-	}
-}
-
-// TestParserOnFirstPerInstance: triggers fire once per element instance.
-func TestParserOnFirstPerInstance(t *testing.T) {
-	d := dtd.MustParse(weakBib)
-	rec := &recorder{}
-	p := NewParser(d, rec, []Trigger{{Element: "book", Past: []string{"title", "author"}}})
-	doc := `<bib><book><title>T</title></book><book><author>A</author></book></bib>`
-	if err := p.Parse(strings.NewReader(doc)); err != nil {
-		t.Fatal(err)
-	}
-	n := strings.Count(strings.Join(rec.events, " "), "first:0")
-	if n != 2 {
-		t.Errorf("trigger fired %d times, want 2 (once per book)", n)
-	}
-}
-
-// TestParserImpossibleLabelsFireAtStart: a trigger over labels that cannot
-// occur at all fires immediately at element start.
-func TestParserImpossibleLabelsFireAtStart(t *testing.T) {
-	d := dtd.MustParse(strongBib)
-	rec := &recorder{}
-	p := NewParser(d, rec, []Trigger{{Element: "title", Past: []string{"author"}}})
-	doc := `<bib><book><title>T</title><author>A</author><publisher>P</publisher><price>9</price></book></bib>`
-	if err := p.Parse(strings.NewReader(doc)); err != nil {
-		t.Fatal(err)
-	}
-	joined := strings.Join(rec.events, " ")
-	if !strings.Contains(joined, "<title> first:0") {
-		t.Errorf("trigger should fire at title start: %s", joined)
-	}
-}
-
-func TestParserHandlerErrorStopsParse(t *testing.T) {
-	d := dtd.MustParse(weakBib)
-	rec := &recorder{failOn: "<title>"}
-	p := NewParser(d, rec, nil)
-	doc := `<bib><book><title>T</title></book></bib>`
-	if err := p.Parse(strings.NewReader(doc)); err == nil {
-		t.Fatal("handler error not propagated")
+	r := NewReader(strings.NewReader(`<box><item>i</item><item>j</item></box>`), d)
+	nextEvent(t, r) // <box>
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 3; j++ { // <item> text </item>
+			nextEvent(t, r)
+		}
+		if past(r, []string{"item"}) {
+			t.Errorf("past(item) holds inside ANY after %d items", i+1)
+		}
 	}
 }
 

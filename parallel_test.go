@@ -2,8 +2,8 @@ package fluxquery
 
 // Differential tests of the pipelined pass: by default on a multi-core
 // host, or with Options.Parallel (StreamSet.SetParallel) >= 2, the
-// tokenizer, validator and dispatcher run on separate goroutines
-// connected by bounded batch rings — but the output must stay byte-
+// validating reader runs on its own goroutine, a bounded batch ring
+// ahead of the dispatcher — but the output must stay byte-
 // identical to the sequential pass on every corpus query, and error
 // semantics (validity errors, tag imbalance, projection trade-offs)
 // must be preserved event-for-event. These are the tentpole's primary
@@ -18,6 +18,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 
 	"fluxquery/internal/mqe"
 	"fluxquery/internal/workload"
@@ -46,8 +47,8 @@ func TestParallelDefault(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := hasSpan(tr.Root, "tokenize") && hasSpan(tr.Root, "validate"); got != pipelined {
-				t.Errorf("Options{}: tokenize/validate stage spans = %v, want %v", got, pipelined)
+			if got := hasSpan(tr.Root, "read"); got != pipelined {
+				t.Errorf("Options{}: read stage span = %v, want %v", got, pipelined)
 			}
 
 			set := NewStreamSet(d)
@@ -71,7 +72,7 @@ func TestParallelDefault(t *testing.T) {
 }
 
 // TestParallelOnePlanReportsPipeline: a pipelined pass riding a single
-// plan reports its Parallel setting and emits the pipeline stage spans,
+// plan reports its Parallel setting and emits the read stage span,
 // exactly as a pass with many plans does.
 func TestParallelOnePlanReportsPipeline(t *testing.T) {
 	c := workload.ByName("xmp-q3-weak")
@@ -98,8 +99,8 @@ func TestParallelOnePlanReportsPipeline(t *testing.T) {
 			t.Errorf("dispatch %v: LastPass() = %+v, want Parallel 2 and batches", dispatch, ps)
 		}
 		tr := set.LastTrace()
-		if tr == nil || !hasSpan(tr.Root, "tokenize") || !hasSpan(tr.Root, "validate") {
-			t.Errorf("dispatch %v: trace lacks tokenize/validate stage spans", dispatch)
+		if tr == nil || !hasSpan(tr.Root, "read") {
+			t.Errorf("dispatch %v: trace lacks the read stage span", dispatch)
 		}
 	}
 }
@@ -117,9 +118,21 @@ func hasSpan(s *TraceSpan, name string) bool {
 	return false
 }
 
-// TestParallelDifferentialCorpus: for every workload case and projection
-// mode, pipelined execution is byte-identical to sequential execution,
-// with identical buffer accounting and scan counters.
+// chunkings are the input shapes the corpus differential reads through:
+// the whole document, one byte per Read, and half of every Read.
+var chunkings = []struct {
+	name string
+	wrap func(io.Reader) io.Reader
+}{
+	{"whole", func(r io.Reader) io.Reader { return r }},
+	{"onebyte", iotest.OneByteReader},
+	{"half", iotest.HalfReader},
+}
+
+// TestParallelDifferentialCorpus: for every workload case, projection
+// mode and input chunking, pipelined and sequential execution are
+// byte-identical to sequential execution over the whole document, with
+// identical buffer accounting and scan counters.
 func TestParallelDifferentialCorpus(t *testing.T) {
 	for _, c := range workload.Cases {
 		c := c
@@ -135,24 +148,31 @@ func TestParallelDifferentialCorpus(t *testing.T) {
 				if err != nil {
 					t.Fatalf("proj=%v sequential: %v", m, err)
 				}
-				got, gotSt, err := par.ExecuteString(doc.String())
-				if err != nil {
-					t.Fatalf("proj=%v parallel: %v", m, err)
-				}
-				if got != want {
-					t.Fatalf("proj=%v: parallel output differs from sequential\npar: %.200s\nseq: %.200s",
-						m, got, want)
-				}
-				if gotSt.PeakBufferBytes != wantSt.PeakBufferBytes ||
-					gotSt.HandlerFirings != wantSt.HandlerFirings ||
-					gotSt.Events != wantSt.Events {
-					t.Errorf("proj=%v: accounting diverged: %+v vs %+v", m, gotSt, wantSt)
-				}
-				if gotSt.ScanEventsDelivered != wantSt.ScanEventsDelivered ||
-					gotSt.ScanEventsSkipped != wantSt.ScanEventsSkipped ||
-					gotSt.ScanSubtreesSkipped != wantSt.ScanSubtreesSkipped ||
-					gotSt.ScanBytesSkipped != wantSt.ScanBytesSkipped {
-					t.Errorf("proj=%v: scan counters diverged: %+v vs %+v", m, gotSt, wantSt)
+				for _, ch := range chunkings {
+					for _, p := range []*Plan{seq, par} {
+						var out bytes.Buffer
+						gotSt, err := p.Execute(ch.wrap(bytes.NewReader(doc.Bytes())), &out)
+						if err != nil {
+							t.Fatalf("proj=%v %s parallel=%v: %v", m, ch.name, p == par, err)
+						}
+						if got := out.String(); got != want {
+							t.Fatalf("proj=%v %s parallel=%v: output differs from sequential whole-input\ngot:  %.200s\nwant: %.200s",
+								m, ch.name, p == par, got, want)
+						}
+						if gotSt.PeakBufferBytes != wantSt.PeakBufferBytes ||
+							gotSt.HandlerFirings != wantSt.HandlerFirings ||
+							gotSt.Events != wantSt.Events {
+							t.Errorf("proj=%v %s parallel=%v: accounting diverged: %+v vs %+v",
+								m, ch.name, p == par, gotSt, wantSt)
+						}
+						if gotSt.ScanEventsDelivered != wantSt.ScanEventsDelivered ||
+							gotSt.ScanEventsSkipped != wantSt.ScanEventsSkipped ||
+							gotSt.ScanSubtreesSkipped != wantSt.ScanSubtreesSkipped ||
+							gotSt.ScanBytesSkipped != wantSt.ScanBytesSkipped {
+							t.Errorf("proj=%v %s parallel=%v: scan counters diverged: %+v vs %+v",
+								m, ch.name, p == par, gotSt, wantSt)
+						}
+					}
 				}
 			}
 		})
@@ -182,9 +202,10 @@ func TestParallelStreamSetDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(parallel int) []string {
+	run := func(m Projection, parallel int) []string {
 		set := NewStreamSet(d)
 		set.SetParallel(parallel)
+		set.SetProjection(m)
 		outs := make([]*bytes.Buffer, len(xmark))
 		for i, c := range xmark {
 			outs[i] = &bytes.Buffer{}
@@ -193,7 +214,7 @@ func TestParallelStreamSetDifferential(t *testing.T) {
 			}
 		}
 		if err := set.Run(bytes.NewReader(doc.Bytes())); err != nil {
-			t.Fatalf("parallel=%d: %v", parallel, err)
+			t.Fatalf("proj=%v parallel=%d: %v", m, parallel, err)
 		}
 		res := make([]string, len(outs))
 		for i, o := range outs {
@@ -202,16 +223,16 @@ func TestParallelStreamSetDifferential(t *testing.T) {
 		if parallel >= 2 {
 			ps := set.LastPass()
 			if ps.Parallel < 2 || ps.Batches == 0 {
-				t.Errorf("parallel=%d: missing pipeline metrics: %+v", parallel, ps)
+				t.Errorf("proj=%v parallel=%d: missing pipeline metrics: %+v", m, parallel, ps)
 			}
 		}
 		return res
 	}
 
 	for _, m := range projModes {
-		want := run(1)
+		want := run(m, 1)
 		for _, n := range []int{2, 4, 8} {
-			got := run(n)
+			got := run(m, n)
 			for i := range got {
 				if got[i] != want[i] {
 					t.Errorf("proj=%v parallel=%d: %s diverges from sequential shared pass",

@@ -3,7 +3,7 @@ package fluxquery
 // Zero-copy invariant over the differential corpus: the copying Token
 // adapter and the zero-copy event path of the scanner must describe the
 // exact same stream for every workload document, and the validating
-// xsax layer must agree between its Token and event forms too.
+// xsax layer's owned batch copies must agree with its event views too.
 
 import (
 	"bytes"
@@ -95,7 +95,9 @@ func TestZeroCopyCorpusParity(t *testing.T) {
 }
 
 // TestXSAXEventTokenParity checks the validating layer the same way: the
-// xsax Token adapter and event API agree on every workload document.
+// owned copies a Batch makes of the reader's events (attribute names
+// resolved through the symbol table) and the zero-copy event views agree
+// on every workload document.
 func TestXSAXEventTokenParity(t *testing.T) {
 	for _, c := range workload.Cases {
 		c := c
@@ -106,19 +108,24 @@ func TestXSAXEventTokenParity(t *testing.T) {
 			}
 			d := dtd.MustParse(c.DTD)
 
-			var viaTokens []flatTok
+			var viaCopies []flatTok
 			r := xsax.NewReader(bytes.NewReader(doc.Bytes()), d)
+			b := xsax.GetBatch()
+			defer xsax.PutBatch(b)
 			for {
-				tok, err := r.Next()
+				ev, err := r.NextEvent()
 				if err == io.EOF {
 					break
 				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				viaTokens = append(viaTokens, flatTok{
-					kind: tok.Kind, name: tok.Name, data: tok.Data,
-					attrs: append([]xmltok.Attr(nil), tok.Attrs...),
+				b.Reset()
+				b.Append(ev)
+				own := &b.Events[0]
+				viaCopies = append(viaCopies, flatTok{
+					kind: own.Kind, name: own.Name, data: string(own.Data),
+					attrs: own.OwnedAttrs(),
 				})
 			}
 
@@ -139,8 +146,8 @@ func TestXSAXEventTokenParity(t *testing.T) {
 				viaEvents = append(viaEvents, ft)
 			}
 
-			if at, ok := flatEqual(viaTokens, viaEvents); !ok {
-				t.Fatalf("xsax token and event streams diverge at %d", at)
+			if at, ok := flatEqual(viaCopies, viaEvents); !ok {
+				t.Fatalf("xsax owned and zero-copy event streams diverge at %d", at)
 			}
 		})
 	}
